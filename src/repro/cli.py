@@ -392,12 +392,11 @@ def _cmd_service_start(args: argparse.Namespace) -> int:
         args.data_dir,
         host=args.host,
         port=args.port,
-        shard_workers=args.shard_workers,
+        shard_workers=0 if args.remote else args.shard_workers,
         shards_per_job=args.shards_per_job,
         shard_timeout=args.shard_timeout,
         retry=retry,
         schedule_store=args.schedule_store,
-        remote=args.remote,
         max_jobs=args.max_jobs,
         token=args.token,
     )
@@ -414,8 +413,8 @@ def _cmd_service_start(args: argparse.Namespace) -> int:
     if args.remote:
         _status(
             args,
-            "remote mode: shards run on 'repro-slp-das worker start "
-            f"--connect {service.url}' workers",
+            "no service-owned workers: shards run on 'repro-slp-das worker "
+            f"start --connect {service.url}' workers",
         )
     while not stop_requested.is_set() and not service.stopping:
         stop_requested.wait(0.2)
@@ -610,9 +609,6 @@ def _cmd_service_workers(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     workers = summary.get("workers") or []
-    if not summary.get("remote", False):
-        print("service is not in remote mode (no worker fleet)")
-        return 0
     if not workers:
         print("no workers have claimed shards yet")
         return 0
@@ -887,22 +883,26 @@ def build_parser() -> argparse.ArgumentParser:
         "--shard-workers",
         type=int,
         default=2,
-        help="worker processes (= concurrently running shards)",
+        help="service-owned worker processes leasing shards from the "
+        "service's lease board like any 'worker start' process; one that "
+        "crashes or wedges is charged the shard and respawned (default 2)",
     )
     svc_start.add_argument(
         "--shards-per-job",
         type=int,
         default=None,
-        help="shards to split each job into (default: 2 x shard workers)",
+        help="shards to split each job into (default: 4)",
     )
     svc_start.add_argument(
         "--shard-timeout",
         type=float,
         default=None,
         metavar="SECONDS",
-        help="seconds a shard may go without completing a seed before "
-        "its pool is presumed hung and rebuilt (stall timeout, not a "
-        "total-duration cap)",
+        help="lease stall timeout (default 60s): a service-owned worker "
+        "whose lease lands no seed for this long is killed, the shard "
+        "charged a timeout and the worker respawned; an external "
+        "worker's lease is revoked and re-queued blame-free (stall "
+        "timeout, not a total-duration cap)",
     )
     svc_start.add_argument(
         "--max-attempts",
@@ -921,9 +921,8 @@ def build_parser() -> argparse.ArgumentParser:
     svc_start.add_argument(
         "--remote",
         action="store_true",
-        help="run shards on remote workers ('worker start --connect') "
-        "leasing over HTTP instead of a local process pool; "
-        "--shard-timeout becomes the lease timeout (default 60s)",
+        help="start no service-owned workers (same as --shard-workers 0): "
+        "shards run only on external 'worker start --connect' workers",
     )
     svc_start.add_argument(
         "--max-jobs",
@@ -966,8 +965,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     svc_workers = service_sub.add_parser(
         "workers",
-        help="show the remote worker fleet (held shards, seeds landed, "
-        "upload recency) from the service's lease board",
+        help="show the worker fleet (held shards, seeds landed, upload "
+        "recency) from the service's lease board",
     )
     svc_workers.add_argument("--url", default=DEFAULT_SERVICE_URL, help=url_help)
     svc_workers.add_argument(
@@ -1058,20 +1057,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     worker = sub.add_parser(
         "worker",
-        help="remote shard workers for a --remote sweep service",
+        help="shard workers for a sweep service's lease board",
     )
     worker_sub = worker.add_subparsers(dest="worker_command", required=True)
 
     wrk_start = worker_sub.add_parser(
         "start",
-        help="pull shard leases from a remote-mode service, run them, "
+        help="pull shard leases from a sweep service, run them, "
         "and upload results (SIGTERM drains gracefully)",
     )
     wrk_start.add_argument(
         "--connect",
         required=True,
         metavar="URL",
-        help="base URL of a 'service start --remote' instance",
+        help="base URL of a 'service start' instance",
     )
     wrk_start.add_argument(
         "--id",

@@ -57,6 +57,7 @@ from typing import (
     List,
     Optional,
     Sequence,
+    Set,
     Tuple,
     Union,
 )
@@ -161,45 +162,191 @@ class GuardReport:
 
 
 # ----------------------------------------------------------------------
-# Worker supervision
+# The retry ledger
 # ----------------------------------------------------------------------
-class _Task:
-    """One chunk of seeds queued for (re-)execution."""
+class Shard:
+    """A run of seeds queued for, or out on, one (re-)execution attempt."""
 
-    __slots__ = ("seeds", "attempt")
+    __slots__ = ("seeds", "attempt", "ready_at")
 
-    def __init__(self, seeds: Tuple[int, ...], attempt: int) -> None:
+    def __init__(
+        self, seeds: Tuple[int, ...], attempt: int = 1, ready_at: float = 0.0
+    ) -> None:
         self.seeds = seeds
         self.attempt = attempt
+        self.ready_at = ready_at
 
 
+class RetryLedger:
+    """The one retry → bisect → quarantine ladder, as pure bookkeeping.
+
+    Every seed of a sweep is *pending* (in a queued :class:`Shard`),
+    *leased* (in a shard a caller took with :meth:`claim`), *done* or
+    *quarantined*.  The ledger never reads a clock and never runs
+    anything: callers pass ``now`` in and execute the shards it hands
+    out.  Two callers share it — :class:`WorkerSupervisor` (metric scope
+    ``supervisor``) and the service's lease board (scope ``service``) —
+    so a failure walks the same ladder however the seeds travelled:
+
+    * :meth:`fail` with attempts left re-queues the still-missing seeds
+      one attempt later, ready after the :class:`RetryPolicy` backoff;
+    * out of attempts, a multi-seed shard is *bisected* — its
+      still-missing seeds split into two fresh halves (suspects, not
+      convicts), so repeated failures isolate the poison seed;
+    * a single seed out of attempts is *quarantined* as a
+      :class:`FailedRun`.
+
+    :meth:`release` hands a shard back blame-free (revoked, drained or
+    innocent) at the same attempt.  Only a shard currently leased can be
+    failed or released, so a stale report never charges twice, and a
+    seed lands at most once, so a late upload never double-counts.
+    """
+
+    def __init__(
+        self,
+        shards: Sequence[Sequence[int]],
+        retry: RetryPolicy,
+        scope: str,
+        done: Sequence[int] = (),
+    ) -> None:
+        self._retry = retry
+        self._scope = scope
+        self._pending: Deque[Shard] = deque(
+            Shard(tuple(seeds)) for seeds in shards if seeds
+        )
+        self._leased: Set[Shard] = set()
+        self.seeds = frozenset(s for shard in self._pending for s in shard.seeds)
+        self.done: Set[int] = set(done)
+        self.quarantined: Set[int] = set()
+        self.failures: List[FailedRun] = []
+
+    # ------------------------------------------------------------------
+    @property
+    def pending(self) -> int:
+        """Shards queued for (re-)execution."""
+        return len(self._pending)
+
+    def settled(self, seed: int) -> bool:
+        """Whether ``seed`` is done or quarantined."""
+        return seed in self.done or seed in self.quarantined
+
+    def missing(self, seeds: Sequence[int]) -> Tuple[int, ...]:
+        """The seeds of ``seeds`` that are neither done nor quarantined."""
+        return tuple(s for s in seeds if not self.settled(s))
+
+    def finished(self) -> bool:
+        """Whether every seed is done or quarantined."""
+        return all(self.settled(s) for s in self.seeds)
+
+    def next_ready(self) -> Optional[float]:
+        """When the earliest queued shard comes off backoff (``None``
+        with nothing queued)."""
+        return min((shard.ready_at for shard in self._pending), default=None)
+
+    # ------------------------------------------------------------------
+    def claim(self, now: float) -> Optional[Shard]:
+        """Lease the next shard ready at ``now``, narrowed to its
+        still-missing seeds (a shard satisfied while queued is dropped),
+        or ``None``."""
+        for _ in range(len(self._pending)):
+            shard = self._pending.popleft()
+            if shard.ready_at > now:
+                self._pending.append(shard)
+                continue
+            shard.seeds = self.missing(shard.seeds)
+            if shard.seeds:
+                self._leased.add(shard)
+                return shard
+        return None
+
+    def land(self, seed: int) -> bool:
+        """Record ``seed`` as done; ``False`` if it was already settled."""
+        if self.settled(seed):
+            return False
+        self.done.add(seed)
+        return True
+
+    def release(self, shard: Shard, now: float) -> None:
+        """Hand a leased shard back blame-free: its still-missing seeds
+        are queued again at the same attempt, ready at once."""
+        if shard not in self._leased:
+            return
+        self._leased.discard(shard)
+        missing = self.missing(shard.seeds)
+        if missing:
+            self._pending.append(Shard(missing, shard.attempt, now))
+
+    def fail(self, shard: Shard, kind: str, error: str, now: float) -> None:
+        """Charge a leased shard one failed attempt of ``kind``
+        (``"error"``, ``"crash"``, ``"timeout"`` or ``"submit"``) and
+        walk the ladder over its still-missing seeds."""
+        if shard not in self._leased:
+            return
+        self._leased.discard(shard)
+        missing = self.missing(shard.seeds)
+        if not missing:
+            return
+        registry = default_registry()
+        tracer = active_tracer()
+        if kind == "timeout":
+            registry.inc(f"{self._scope}.timeouts")
+        if shard.attempt < self._retry.max_attempts:
+            registry.inc(f"{self._scope}.retries")
+            if tracer is not None:
+                tracer.instant(
+                    "chunk.retry", seeds=list(missing), attempt=shard.attempt, kind=kind
+                )
+            delay = self._retry.delay(shard.attempt, key=missing[0])
+            self._pending.append(Shard(missing, shard.attempt + 1, now + delay))
+            return
+        if len(missing) > 1:
+            registry.inc(f"{self._scope}.bisections")
+            if tracer is not None:
+                tracer.instant("chunk.bisect", seeds=list(missing))
+            mid = len(missing) // 2
+            self._pending.append(Shard(missing[:mid], 1, now))
+            self._pending.append(Shard(missing[mid:], 1, now))
+            return
+        registry.inc(f"{self._scope}.quarantined")
+        if tracer is not None:
+            tracer.instant("chunk.quarantine", seed=missing[0], kind=kind)
+        self.quarantined.add(missing[0])
+        self.failures.append(
+            FailedRun(seed=missing[0], attempts=shard.attempt, kind=kind, error=error)
+        )
+
+
+def describe_error(exc: BaseException) -> str:
+    """``TypeName: message`` — how a failure is recorded on a ledger."""
+    return f"{type(exc).__name__}: {exc}"
+
+
+# ----------------------------------------------------------------------
+# Worker supervision
+# ----------------------------------------------------------------------
 class WorkerSupervisor:
     """Supervised gather of chunked seed runs over a worker pool.
 
-    The supervisor owns *policy* (timeouts, retries, splitting,
-    quarantine) and delegates *mechanism* to two callables supplied by
-    the runner: ``submit(seeds) -> Future`` dispatches one chunk to the
-    current pool, and ``respawn(kill)`` discards a broken or hung pool
-    so the next ``submit`` gets a fresh one (``kill=True`` additionally
-    terminates the pool's processes — the only way to reclaim a hung
-    worker).
+    The supervisor owns *mechanism*: ``submit(seeds) -> Future``
+    dispatches one chunk to the current pool, and ``respawn(kill)``
+    discards a broken or hung pool so the next ``submit`` gets a fresh
+    one (``kill=True`` additionally terminates the pool's processes —
+    the only way to reclaim a hung worker).  *Policy* — retry, backoff,
+    bisection, quarantine — is the :class:`RetryLedger`'s.
 
-    Failure semantics:
+    Each round submits every chunk that is off backoff and blocks on
+    their futures in turn:
 
-    * a chunk future raising an ordinary exception is retried up to
-      ``retry.max_attempts`` times with backoff;
+    * a chunk future raising an ordinary exception is charged
+      ``"error"``;
     * a broken pool (worker death) is respawned; the observed chunk
-      *and every other unfinished in-flight chunk* get a retry attempt
-      charged, because the culprit cannot be identified — with one
+      *and every other unfinished in-flight chunk* are charged
+      ``"crash"``, because the culprit cannot be identified — with one
       deterministic crasher this converges to isolating it, at worst
       quarantining the seeds that shared its rounds;
     * a chunk exceeding ``chunk_timeout`` has the pool killed and is
-      charged an attempt; other in-flight chunks are re-queued without
-      blame (their worker was murdered, not wedged);
-    * a chunk out of attempts is *split* in half and both halves start
-      fresh — repeated failures therefore bisect down to the poison
-      seed, which is quarantined as a :class:`FailedRun` while its
-      former chunk-mates complete normally.
+      charged ``"timeout"``; other in-flight chunks are released without
+      blame (their worker was murdered, not wedged).
 
     Results are keyed by seed, so completion order — reshuffled by
     every retry — cannot affect the reassembled sweep.
@@ -236,25 +383,30 @@ class WorkerSupervisor:
         ordered by seed.
         """
         results: Dict[int, OperationalResult] = {}
-        failures: List[FailedRun] = []
-        queue: Deque[_Task] = deque(
-            _Task(tuple(chunk), 1) for chunk in chunks if chunk
-        )
-        while queue:
-            batch = list(queue)
-            queue.clear()
-            round_delay = 0.0
+        ledger = RetryLedger(chunks, self._retry, "supervisor")
+        while True:
+            now = time.monotonic()
+            batch: List[Shard] = []
+            shard = ledger.claim(now)
+            while shard is not None:
+                batch.append(shard)
+                shard = ledger.claim(now)
+            if not batch:
+                ready_at = ledger.next_ready()
+                if ready_at is None:
+                    break
+                self._sleep(max(ready_at - now, 0.0))
+                continue
 
-            in_flight: List[Tuple[_Task, Future]] = []
-            for task in batch:
-                future, delay = self._try_submit(task, queue, failures)
-                round_delay = max(round_delay, delay)
+            in_flight: List[Tuple[Shard, Future]] = []
+            for shard in batch:
+                future = self._try_submit(shard, ledger)
                 if future is not None:
-                    in_flight.append((task, future))
+                    in_flight.append((shard, future))
 
             pool_dead = False
             blame_rest = False
-            for task, future in in_flight:
+            for shard, future in in_flight:
                 if pool_dead:
                     # The pool died earlier in this round.  Harvest
                     # chunks that had already finished; charge the rest
@@ -265,74 +417,55 @@ class WorkerSupervisor:
                         and not future.cancelled()
                         and future.exception() is None
                     ):
-                        self._harvest(task, future.result(), results)
+                        self._harvest(shard, future.result(), results, ledger)
                     elif blame_rest:
-                        round_delay = max(
-                            round_delay,
-                            self._retry_or_fail(
-                                task,
-                                BrokenExecutor("pool broke mid-round"),
-                                "crash",
-                                queue,
-                                failures,
-                            ),
+                        ledger.fail(
+                            shard, "crash", "BrokenExecutor: pool broke mid-round",
+                            time.monotonic(),
                         )
                     else:
-                        queue.append(task)
+                        ledger.release(shard, time.monotonic())
                     continue
                 try:
                     chunk_results = future.result(timeout=self._chunk_timeout)
                 except CancelledError:
-                    queue.append(task)
+                    ledger.release(shard, time.monotonic())
                 except BrokenExecutor as exc:
                     pool_dead = True
                     blame_rest = True
                     self._note_respawn(False)
-                    round_delay = max(
-                        round_delay,
-                        self._retry_or_fail(task, exc, "crash", queue, failures),
-                    )
+                    ledger.fail(shard, "crash", describe_error(exc), time.monotonic())
                 except TimeoutError as exc:
                     pool_dead = True
                     self._note_respawn(True)
-                    round_delay = max(
-                        round_delay,
-                        self._retry_or_fail(task, exc, "timeout", queue, failures),
-                    )
+                    ledger.fail(shard, "timeout", describe_error(exc), time.monotonic())
                 except Exception as exc:
-                    round_delay = max(
-                        round_delay,
-                        self._retry_or_fail(task, exc, "error", queue, failures),
-                    )
+                    ledger.fail(shard, "error", describe_error(exc), time.monotonic())
                 else:
-                    self._harvest(task, chunk_results, results)
+                    self._harvest(shard, chunk_results, results, ledger)
 
-            if queue and round_delay > 0:
-                self._sleep(round_delay)
-
-        failures.sort(key=lambda f: f.seed)
-        return results, tuple(failures)
+        return results, tuple(sorted(ledger.failures, key=lambda f: f.seed))
 
     # ------------------------------------------------------------------
-    def _try_submit(
-        self, task: _Task, queue: Deque[_Task], failures: List[FailedRun]
-    ) -> Tuple[Optional[Future], float]:
+    def _try_submit(self, shard: Shard, ledger: RetryLedger) -> Optional[Future]:
         try:
             if self._plan is not None:
-                self._plan.before_submit(task.seeds)
-            future = self._submit(task.seeds)
+                self._plan.before_submit(shard.seeds)
+            future = self._submit(shard.seeds)
         except BrokenExecutor as exc:
             self._note_respawn(False)
-            return None, self._retry_or_fail(task, exc, "crash", queue, failures)
+            ledger.fail(shard, "crash", describe_error(exc), time.monotonic())
+            return None
         except Exception as exc:
-            return None, self._retry_or_fail(task, exc, "submit", queue, failures)
+            ledger.fail(shard, "submit", describe_error(exc), time.monotonic())
+            return None
         default_registry().inc("supervisor.chunks")
         tracer = active_tracer()
         if tracer is not None:
             tracer.instant(
-                "chunk.dispatch", seeds=list(task.seeds), attempt=task.attempt
+                "chunk.dispatch", seeds=list(shard.seeds), attempt=shard.attempt
             )
-        return future, 0.0
+        return future
 
     def _note_respawn(self, kill: bool) -> None:
         default_registry().inc("supervisor.respawns")
@@ -340,70 +473,22 @@ class WorkerSupervisor:
 
     def _harvest(
         self,
-        task: _Task,
+        shard: Shard,
         chunk_results: Sequence[OperationalResult],
         results: Dict[int, OperationalResult],
+        ledger: RetryLedger,
     ) -> None:
         payload = getattr(chunk_results, "telemetry", None)
         if payload is not None:
             # A telemetry-enabled worker shipped its spans and metrics
             # with the chunk; merge them onto the parent's timeline.
             absorb_worker_payload(payload)
-        for seed, result in zip(task.seeds, chunk_results):
+        for seed, result in zip(shard.seeds, chunk_results):
+            ledger.land(seed)
             results[seed] = result
             if self._on_result is not None:
                 self._on_result(seed, result)
-
-    def _retry_or_fail(
-        self,
-        task: _Task,
-        exc: BaseException,
-        kind: str,
-        queue: Deque[_Task],
-        failures: List[FailedRun],
-    ) -> float:
-        """Requeue, split, or quarantine a failed task; return the
-        backoff its round owes."""
-        registry = default_registry()
-        tracer = active_tracer()
-        if task.attempt < self._retry.max_attempts:
-            registry.inc("supervisor.retries")
-            if kind == "timeout":
-                registry.inc("supervisor.timeouts")
-            if tracer is not None:
-                tracer.instant(
-                    "chunk.retry",
-                    seeds=list(task.seeds),
-                    attempt=task.attempt,
-                    kind=kind,
-                )
-            queue.append(_Task(task.seeds, task.attempt + 1))
-            return self._retry.delay(task.attempt, key=task.seeds[0])
-        if len(task.seeds) > 1:
-            # Out of attempts as a chunk: bisect to isolate the poison
-            # seed.  Halves start fresh — their seeds are merely
-            # suspects, not convicts.
-            registry.inc("supervisor.bisections")
-            if tracer is not None:
-                tracer.instant("chunk.bisect", seeds=list(task.seeds))
-            mid = len(task.seeds) // 2
-            queue.append(_Task(task.seeds[:mid], 1))
-            queue.append(_Task(task.seeds[mid:], 1))
-            return self._retry.delay(task.attempt, key=task.seeds[0])
-        registry.inc("supervisor.quarantined")
-        if tracer is not None:
-            tracer.instant(
-                "chunk.quarantine", seed=task.seeds[0], kind=kind
-            )
-        failures.append(
-            FailedRun(
-                seed=task.seeds[0],
-                attempts=task.attempt,
-                kind=kind,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        )
-        return 0.0
+        ledger.release(shard, time.monotonic())
 
 
 # ----------------------------------------------------------------------

@@ -9,23 +9,27 @@ assembled from the substrates the earlier PRs built:
 * :mod:`repro.service.store` — the durable SQLite
   :class:`JobStore` (dedup by primary key, atomic claims, crash
   recovery via ``running→queued``);
-* :mod:`repro.service.scheduler` — the :class:`ShardScheduler`:
-  seed-range shards on supervised worker pools with heartbeat-aware
-  timeouts, retry/backoff, bisection down to quarantined poison seeds,
-  and checkpoint-merged reports bit-identical to serial runs;
+* :mod:`repro.service.transport` — the :class:`ShardBoard` lease
+  table, the one way a shard reaches a worker: claims, idempotent seed
+  uploads that double as heartbeats, blame-free revocation of stalled
+  external leases, and a per-job
+  :class:`~repro.experiments.RetryLedger` (retry/backoff, bisection
+  down to quarantined poison seeds — the same ladder the CLI pool
+  walks);
+* :mod:`repro.service.scheduler` — the :class:`ShardScheduler`, which
+  publishes a job's seed-range shards on the board and merges the
+  checkpoint into a report bit-identical to a serial run, and
+  :class:`OwnedWorkers`, the service's own ``--shard-workers``
+  processes (charged and respawned when they crash or wedge);
 * :mod:`repro.service.api` — :class:`SweepService`, the stdlib
   ``ThreadingHTTPServer`` front (submit/status/result, shard leases,
   graceful drain, ``--max-jobs`` concurrent dispatch);
-* :mod:`repro.service.transport` — the server side of the multi-host
-  worker transport: the :class:`ShardBoard` lease table (claims,
-  idempotent seed uploads that double as heartbeats, blame-free
-  revocation of stalled leases) and the :class:`RemoteShardScheduler`
-  that supervises a job through it;
-* :mod:`repro.service.worker` — the remote worker
-  (``repro worker start --connect``): :class:`WorkerTransport` with
-  explicit timeouts, bounded retry/backoff and the injected network
-  chaos, and the :class:`ShardWorker` pull-execute-upload loop with
-  graceful SIGTERM drain;
+* :mod:`repro.service.worker` — the worker
+  (``repro worker start --connect``, and every owned worker):
+  :class:`WorkerTransport` with explicit timeouts, bounded
+  retry/backoff and the injected network chaos, and the
+  :class:`ShardWorker` pull-execute-upload loop with graceful SIGTERM
+  drain;
 * :mod:`repro.service.client` — the urllib :class:`ServiceClient`
   behind ``repro service submit|status|result`` (explicit timeouts,
   bounded retry with backoff on connection failures);
@@ -36,7 +40,7 @@ assembled from the substrates the earlier PRs built:
   demote inconsistent jobs to ``queued``) so a restart reconverges.
 
 The robustness contract, enforced by the chaos drills: worker death
-(local pool or remote ``kill -9``), service death, network drops,
+(owned or external, ``kill -9``), a wedged worker, service death, network drops,
 delays, duplicated uploads, partitions, duplicate submissions and
 malformed specs never produce a report that differs from an
 uninterrupted serial run — jobs either finish byte-identically or fail
@@ -46,8 +50,8 @@ loudly with structured quarantine records.
 from .api import SweepService
 from .client import ServiceClient, ServiceError
 from .fsck import fsck_data_dir
-from .scheduler import JobInterrupted, ShardScheduler, lower_job
-from .transport import RemoteShardScheduler, ShardBoard
+from .scheduler import JobInterrupted, OwnedWorkers, ShardScheduler, lower_job
+from .transport import ShardBoard
 from .worker import ShardWorker, TransportError, WorkerTransport, worker_main
 from .state import (
     DONE,
@@ -70,10 +74,10 @@ __all__ = [
     "JobInterrupted",
     "JobRecord",
     "JobStore",
+    "OwnedWorkers",
     "QUARANTINED",
     "QUEUED",
     "RUNNING",
-    "RemoteShardScheduler",
     "ServiceClient",
     "ServiceError",
     "ShardBoard",

@@ -1,26 +1,28 @@
 """The sweep service: durable job queue behind a thin stdlib HTTP front.
 
-:class:`SweepService` ties the PR's pieces together into one
-long-running process:
+One long-running process, one execution path: every shard of every
+job is leased from the service's :class:`~repro.service.transport.ShardBoard`
+over HTTP.
 
 * submissions land in the durable :class:`~repro.service.store.JobStore`
   (validated first — a malformed spec is a ``400``, never a crash, and
   a duplicate dedups to the existing job by content-addressed id);
 * a dispatcher thread drains the queue FIFO, running up to
-  ``max_jobs`` jobs concurrently (default 1 — the PR 8 behaviour),
-  each on its own scheduler: the local
-  :class:`~repro.service.scheduler.ShardScheduler` (a process pool in
-  this host), or with ``remote=True`` the
-  :class:`~repro.service.transport.RemoteShardScheduler`, which
-  publishes shard leases for ``repro worker start --connect`` workers
-  on any host to claim over HTTP;
+  ``max_jobs`` jobs concurrently (default 1), each supervised by the
+  :class:`~repro.service.scheduler.ShardScheduler` over the board;
+* the shards are run by ``shard_workers`` service-owned worker
+  processes (:class:`~repro.service.scheduler.OwnedWorkers`, respawned
+  when they crash or wedge) and by any ``repro worker start --connect``
+  workers on any host — ``shard_workers=0`` (``service start
+  --remote``) leaves the work to external workers alone;
 * ``GET /jobs/<id>`` serves the state machine plus live per-shard
   progress and the ``service.*`` slice of the telemetry metrics
   snapshot; ``GET /jobs/<id>/result`` serves the finished report's
   exact bytes (``410`` once ``service gc`` evicted them);
-* SIGTERM (wired in the CLI) triggers a graceful drain: running jobs'
-  shards stop (their finished seeds are already checkpointed) and the
-  jobs go back to ``queued``; the next start resumes them.
+* SIGTERM (wired in the CLI) triggers a graceful drain: the owned
+  workers finish their seed in flight and hand their leases back,
+  running jobs go back to ``queued`` (their finished seeds are already
+  checkpointed); the next start resumes them.
 
 HTTP endpoints::
 
@@ -36,8 +38,7 @@ HTTP endpoints::
     GET  /workers                lease-board fleet summary (held shards,
                                  seeds landed, upload recency per worker)
     POST /shards/claim           {"worker": id} → a shard lease, or
-                                 {"shard": null} (remote mode only: 409
-                                 otherwise)
+                                 {"shard": null}
     POST /shards/<id>/seeds      {"job", "worker", "seed", "result"} or the
                                  batched {"job", "worker", "seeds": [{"seed",
                                  "result"}, ...]} — the durability write +
@@ -66,15 +67,15 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..errors import ConfigurationError, ReproError, StorageError, invalid_field
 from ..experiments import RetryPolicy, ServiceHalt, SweepCheckpoint
 from ..scenarios import ScenarioSpec, get_scenario
 from ..storage import atomic_write_bytes
 from ..telemetry import default_registry
-from .scheduler import JobInterrupted, ShardScheduler, lower_job
-from .transport import RemoteShardScheduler, ShardBoard
+from .scheduler import JobInterrupted, OwnedWorkers, ShardScheduler, lower_job
+from .transport import DEFAULT_LEASE_TIMEOUT, ShardBoard
 from .state import (
     DONE,
     FAILED,
@@ -110,7 +111,6 @@ class SweepService:
         retry: Optional[RetryPolicy] = None,
         schedule_store: Optional[Union[str, Path]] = None,
         poll_interval: float = 0.05,
-        remote: bool = False,
         max_jobs: int = 1,
         token: Optional[str] = None,
     ) -> None:
@@ -119,23 +119,34 @@ class SweepService:
                 "SweepService", "max_jobs", max_jobs,
                 "the dispatcher needs at least one job slot",
             )
+        if shard_workers < 0:
+            raise invalid_field(
+                "SweepService", "shard_workers", shard_workers,
+                "cannot be negative (0 leaves the work to external workers)",
+            )
         self._data_dir = Path(data_dir)
         self._data_dir.mkdir(parents=True, exist_ok=True)
         self._store = JobStore(self._data_dir / "jobs.sqlite")
-        self._shard_workers = shard_workers
-        self._shards_per_job = shards_per_job
-        self._shard_timeout = shard_timeout
-        self._retry = retry
-        self._schedule_store = schedule_store
-        self._poll_interval = poll_interval
-        self._remote = remote
         self._max_jobs = max_jobs
-        # Remote mode: one lease board shared by every job scheduler,
-        # appending into the same checkpoint store the local path uses.
-        self._board: Optional[ShardBoard] = (
-            ShardBoard(SweepCheckpoint(self._data_dir / "checkpoints"))
-            if remote
-            else None
+        # One lease board shared by every job, appending into the
+        # data dir's checkpoint store.
+        self._board = ShardBoard(SweepCheckpoint(self._data_dir / "checkpoints"))
+        self._scheduler = ShardScheduler(
+            self._data_dir,
+            self._board,
+            shards_per_job=shards_per_job,
+            shard_timeout=shard_timeout,
+            retry=retry,
+            poll_interval=poll_interval,
+        )
+        self._workers = OwnedWorkers(
+            self._board,
+            shard_workers,
+            shard_timeout if shard_timeout is not None else DEFAULT_LEASE_TIMEOUT,
+            token=token,
+            schedule_store=(
+                str(schedule_store) if schedule_store is not None else None
+            ),
         )
         self._host = host
         self._port = port
@@ -144,8 +155,6 @@ class SweepService:
         self._httpd: Optional[ThreadingHTTPServer] = None
         self._http_thread: Optional[threading.Thread] = None
         self._drain_thread: Optional[threading.Thread] = None
-        self._active_lock = threading.Lock()
-        self._active_schedulers: list = []
         self.halted = False  # set by the chaos harness's ServiceHalt
         #: Shared secret for mutating endpoints (None = open service).
         self.token = token
@@ -182,18 +191,20 @@ class SweepService:
         host, port = self._httpd.server_address[:2]
         return f"http://{host}:{port}"
 
+    @property
+    def worker_pids(self) -> List[int]:
+        """Process ids of the live service-owned workers."""
+        return self._workers.pids
+
     def start(self) -> "SweepService":
         """Recover crashed jobs, start the scheduler loop and the HTTP
-        server (both in daemon threads); returns ``self``."""
+        server (both in daemon threads) and the owned workers; returns
+        ``self``."""
         recovered = self._store.recover()
         if recovered:
             default_registry().inc("service.recovered_jobs", recovered)
         self._stop.clear()
         self.halted = False
-        self._drain_thread = threading.Thread(
-            target=self._drain_loop, name="sweep-scheduler", daemon=True
-        )
-        self._drain_thread.start()
         self._httpd = ThreadingHTTPServer(
             (self._host, self._port), _Handler
         )
@@ -203,45 +214,28 @@ class SweepService:
             target=self._httpd.serve_forever, name="sweep-http", daemon=True
         )
         self._http_thread.start()
+        self._workers.start(self.url)
+        self._drain_thread = threading.Thread(
+            target=self._drain_loop, name="sweep-scheduler", daemon=True
+        )
+        self._drain_thread.start()
         return self
 
     def drain(self, timeout: float = 30.0) -> None:
-        """Graceful shutdown (the SIGTERM path): stop accepting HTTP,
-        stop every running job's shards (checkpointed seeds survive),
-        re-queue them, and return once the threads have stopped."""
+        """Graceful shutdown (the SIGTERM path): stop every running
+        job (checkpointed seeds survive) and re-queue it, drain and reap
+        the owned workers, stop accepting HTTP, and return once the
+        threads have stopped."""
         self._stop.set()
+        # Workers first, while the board still answers: the seed in
+        # flight lands and the rest of the lease is handed back.
+        self._workers.stop()
         if self._httpd is not None:
             self._httpd.shutdown()
             self._httpd.server_close()
             self._httpd = None
         if self._drain_thread is not None:
             self._drain_thread.join(timeout=timeout)
-        with self._active_lock:
-            leftovers = list(self._active_schedulers)
-        for scheduler in leftovers:
-            scheduler.close(kill=True)
-
-    def _make_scheduler(self):
-        """One scheduler per running job: a fresh local pool, or the
-        remote lease front over the shared board."""
-        if self._remote:
-            return RemoteShardScheduler(
-                self._data_dir,
-                self._board,
-                shards_per_job=self._shards_per_job,
-                shard_timeout=self._shard_timeout,
-                retry=self._retry,
-                poll_interval=self._poll_interval,
-            )
-        return ShardScheduler(
-            self._data_dir,
-            shard_workers=self._shard_workers,
-            shards_per_job=self._shards_per_job,
-            shard_timeout=self._shard_timeout,
-            retry=self._retry,
-            schedule_store=self._schedule_store,
-            poll_interval=self._poll_interval,
-        )
 
     # ------------------------------------------------------------------
     # Submission (shared by HTTP and any in-process caller)
@@ -354,14 +348,10 @@ class SweepService:
             pass
 
     # ------------------------------------------------------------------
-    # The remote-worker lease API (HTTP handler threads land here)
+    # The worker lease API (HTTP handler threads land here)
     # ------------------------------------------------------------------
     def claim_shard(self, payload: object) -> Tuple[int, Dict[str, object]]:
         """``POST /shards/claim``: lease the next ready shard."""
-        if self._board is None:
-            return 409, {
-                "error": "service is not in remote mode (start with --remote)"
-            }
         if not isinstance(payload, dict):
             return 400, {"error": "the claim body must be a JSON object"}
         worker = payload.get("worker")
@@ -376,10 +366,6 @@ class SweepService:
         self, shard_id: str, action: str, payload: object
     ) -> Tuple[int, Dict[str, object]]:
         """``POST /shards/<id>/{seeds,fail,release,done}``."""
-        if self._board is None:
-            return 409, {
-                "error": "service is not in remote mode (start with --remote)"
-            }
         if not isinstance(payload, dict):
             return 400, {"error": "the body must be a JSON object"}
         job = payload.get("job")
@@ -478,8 +464,7 @@ class SweepService:
     def workers_summary(self) -> Dict[str, object]:
         """The fleet view behind ``GET /workers``: every worker the
         lease board has seen, with held shards and upload recency."""
-        workers = self._board.workers() if self._board is not None else []
-        return {"remote": self._board is not None, "workers": workers}
+        return {"workers": self._board.workers()}
 
     # ------------------------------------------------------------------
     # The scheduler loop
@@ -491,6 +476,7 @@ class SweepService:
         the old one-job FIFO (claims are atomic either way)."""
         threads: list = []
         while not self._stop.is_set():
+            self._workers.supervise()
             threads = [t for t in threads if t.is_alive()]
             if len(threads) >= self._max_jobs:
                 self._stop.wait(0.05)
@@ -515,12 +501,9 @@ class SweepService:
             thread.join(timeout=30.0)
 
     def _run_one(self, job: JobRecord) -> None:
-        scheduler = self._make_scheduler()
-        with self._active_lock:
-            self._active_schedulers.append(scheduler)
         try:
             spec = job.spec()
-            outcome = scheduler.run_job(
+            outcome = self._scheduler.run_job(
                 spec,
                 repeats=job.repeats,
                 base_seed=job.base_seed,
@@ -560,10 +543,6 @@ class SweepService:
             else:
                 self._storage_error = None
         finally:
-            with self._active_lock:
-                if scheduler in self._active_schedulers:
-                    self._active_schedulers.remove(scheduler)
-            scheduler.close(kill=True)
             self._progress.pop(job.job_id, None)
 
 

@@ -1,53 +1,49 @@
-"""The shard scheduler: supervised, checkpointed execution of one job.
+"""The shard scheduler, and the service's own shard workers.
 
-This promotes PR 6's chunk-level supervision to the service's shard
-layer.  A job's seed range is split into contiguous *shards*
+A job's seed range is split into contiguous *shards*
 (:func:`~repro.experiments.seed_chunks` — the same balanced partition
-the parallel runner uses), and each shard runs as one supervised task
-on a worker-process pool:
+the parallel runner uses) and published on the service's
+:class:`~repro.service.transport.ShardBoard`.  Workers lease shards
+over HTTP, run them and upload every completed seed, which the board
+appends to the job's :class:`~repro.experiments.SweepCheckpoint`:
 
-* every completed seed is appended to the job's
-  :class:`~repro.experiments.SweepCheckpoint` *from inside the worker*,
-  so the append doubles as the shard's **heartbeat** — the scheduler
-  measures progress by counting the shard's seeds in the store, and a
-  ``shard_timeout`` fires only when a shard makes *no* progress for
-  that long (a long job that keeps landing seeds is never killed);
-* a failed shard is retried with the
-  :class:`~repro.experiments.RetryPolicy` backoff (exponential,
-  deterministic jitter), a broken pool is respawned, a hung pool is
-  killed and respawned;
-* a shard out of attempts is **bisected** — repeated failures isolate
-  the poison seed, which is quarantined as a
-  :class:`~repro.experiments.FailedRun` on the job record while its
-  former shard-mates complete normally;
-* because workers skip seeds already in the store, a retried or
-  resumed shard re-runs only what is missing — and because every run
-  re-seeds from scratch, the merged report is bit-identical to an
-  uninterrupted serial sweep, which the chaos drills assert literally.
+* :class:`ShardScheduler` opens a job on the board, revokes stalled
+  external leases blame-free, and merges the checkpoint into the job's
+  report — bit-identical to an uninterrupted serial sweep, because
+  every run re-seeds from scratch (the chaos drills assert it
+  literally);
+* :class:`OwnedWorkers` are the service's own ``--shard-workers``:
+  ordinary :func:`~repro.service.worker.worker_main` processes, started
+  with ``spawn`` (never ``fork`` — the service is threaded), that lease
+  from the same board as any external worker.  One that exits holding
+  a lease has it charged ``"crash"``; one whose lease stalls past the
+  shard timeout is killed and charged ``"timeout"``; either way it is
+  respawned.
 
-The scheduler itself holds no job state worth preserving: kill the
-process at any instant and the (job store, checkpoint store) pair on
-disk is sufficient to resume.
+Retry, backoff, bisection and quarantine are the board's
+:class:`~repro.experiments.RetryLedger`.  The scheduler itself holds no
+job state worth preserving: kill the process at any instant and the
+(job store, checkpoint store) pair on disk is sufficient to resume.
 """
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+import threading
 import time
-from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Deque, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
-from collections import deque
-
+from ..app import OperationalResult
 from ..errors import invalid_field, sweep_failed
 from ..experiments import (
     ExperimentConfig,
-    ExperimentRunner,
     FailedRun,
     RetryPolicy,
+    ServiceHalt,
     SweepCheckpoint,
-    active_fault_plan,
     configure_schedule_cache,
     seed_chunks,
 )
@@ -59,6 +55,16 @@ from ..metrics import (
 from ..scenarios import ScenarioOutcome, ScenarioSpec
 from ..telemetry import default_registry
 from ..topology import Topology
+from .state import job_key
+from .transport import DEFAULT_LEASE_TIMEOUT, ShardBoard
+
+#: Shards a job's missing seeds are split into by default: enough slack
+#: that one slow shard does not straggle the whole job.
+DEFAULT_SHARDS_PER_JOB = 4
+
+#: Seconds a draining owned worker gets to finish its seed in flight
+#: before it is killed (a wedged one ignores SIGTERM).
+DRAIN_GRACE_S = 5.0
 
 
 class JobInterrupted(Exception):
@@ -90,65 +96,29 @@ def lower_job(
     return topology, config
 
 
-def _run_shard(
-    spec_json: str,
-    repeats: Optional[int],
-    base_seed: Optional[int],
-    kernel: Optional[str],
-    setup_kernel: Optional[str],
-    seeds: Tuple[int, ...],
-    checkpoint_root: str,
-    schedule_store_path: Optional[str] = None,
-) -> int:
-    """Worker entry point: run one shard's missing seeds.
+def _run_shard(*args: object) -> None:
+    """Retired: shards no longer run on a private process pool.
 
-    Module-level so it pickles by reference under every pool start
-    method.  Seeds already in the checkpoint are skipped (that is what
-    makes retries and resumes cheap and idempotent); each completed
-    seed is appended immediately — the append is both the durability
-    write and the heartbeat the parent watches.  Returns the number of
-    seeds actually run.
+    The name survives only because ``perfbench/probes.py`` (frozen with
+    the benchmark's definition) patches it when tracing; drop it with
+    the next change to the benchmark.
     """
-    spec = ScenarioSpec.from_json(spec_json)
-    topology, config = lower_job(spec, repeats, base_seed, kernel, setup_kernel)
-    if schedule_store_path is not None:
-        configure_schedule_cache(store=schedule_store_path)
-    checkpoint = SweepCheckpoint(checkpoint_root)
-    key = checkpoint.key_for(topology, config)
-    done = checkpoint.load(key)
-    plan = active_fault_plan()
-    runner = ExperimentRunner(topology)
-    ran = 0
-    for seed in seeds:
-        if seed in done:
-            continue
-        if plan is not None:
-            # Chaos-only fault point (crash/hang/transient/poison).
-            plan.before_seed(seed)
-        result = runner.run_once(config, seed)
-        checkpoint.append(key, seed, result)
-        ran += 1
-    return ran
+    raise NotImplementedError("shards run on lease-board workers")
 
 
 def merge_outcome(
     spec: ScenarioSpec,
     topology: Topology,
     config: ExperimentConfig,
-    checkpoint: SweepCheckpoint,
-    key: str,
+    on_disk: Dict[int, OperationalResult],
     seeds: List[int],
     failures: List[FailedRun],
     max_attempts: int,
 ) -> ScenarioOutcome:
-    """Seed-ordered reassembly of the checkpointed results into the
-    same :class:`~repro.scenarios.ScenarioOutcome` a direct
+    """Seed-ordered reassembly of the checkpointed results ``on_disk``
+    into the same :class:`~repro.scenarios.ScenarioOutcome` a direct
     ``ScenarioRunner.run`` builds — the report bytes cannot tell the
-    difference, which is the whole point.  Shared by the local
-    :class:`ShardScheduler` and the remote
-    :class:`~repro.service.transport.RemoteShardScheduler`: however the
-    seeds travelled, the merge is the same."""
-    on_disk = checkpoint.load(key)
+    difference, which is the whole point."""
     quarantined = {f.seed for f in failures}
     survivors = [s for s in seeds if s not in quarantined]
     lost = [s for s in survivors if s not in on_disk]
@@ -180,54 +150,27 @@ def merge_outcome(
     )
 
 
-class _Shard:
-    """One shard queued for (re-)execution."""
-
-    __slots__ = ("seeds", "attempt", "ready_at")
-
-    def __init__(self, seeds: Tuple[int, ...], attempt: int, ready_at: float = 0.0):
-        self.seeds = seeds
-        self.attempt = attempt
-        self.ready_at = ready_at
-
-
-class _Flight:
-    """One shard currently on the pool, with its heartbeat bookkeeping."""
-
-    __slots__ = ("shard", "future", "progress", "last_advance")
-
-    def __init__(self, shard: _Shard, future: Future, now: float):
-        self.shard = shard
-        self.future = future
-        self.progress = 0
-        self.last_advance = now
-
-
 class ShardScheduler:
-    """Executes one job at a time across a supervised worker pool.
+    """Executes one job through the workers leasing from a board.
 
     Parameters
     ----------
     data_dir:
         The service's data directory; the per-seed checkpoint store
         lives under ``<data_dir>/checkpoints``.
-    shard_workers:
-        Worker processes (and therefore concurrently running shards).
+    board:
+        The lease board the job's shards are published on.
     shards_per_job:
-        How many shards to split a job's missing seeds into
-        (default ``2 × shard_workers`` — enough slack that one slow
-        shard does not straggle the whole job).
+        How many shards to split a job's missing seeds into (default
+        :data:`DEFAULT_SHARDS_PER_JOB`).
     retry:
         Backoff schedule for shard retries (default
         :class:`~repro.experiments.RetryPolicy`\\ ()).
     shard_timeout:
-        Seconds a shard may go *without completing a seed* before its
-        pool is presumed hung, killed and respawned (``None`` disables
-        the watchdog).  This is a stall timeout, not a total-duration
-        timeout — a shard landing seeds is never killed.
-    schedule_store:
-        Optional path to a shared on-disk schedule store; shard workers
-        attach it so concurrent jobs over one topology dedup builds.
+        Seconds an external lease may go *without landing a seed*
+        before it is revoked blame-free (default
+        :data:`~repro.service.transport.DEFAULT_LEASE_TIMEOUT`).  This
+        is a stall timeout, not a total-duration cap.
     poll_interval:
         The supervision loop's tick (seconds).
     """
@@ -235,75 +178,31 @@ class ShardScheduler:
     def __init__(
         self,
         data_dir: Union[str, Path],
-        shard_workers: int = 2,
+        board: ShardBoard,
         shards_per_job: Optional[int] = None,
         retry: Optional[RetryPolicy] = None,
         shard_timeout: Optional[float] = None,
-        schedule_store: Optional[Union[str, Path]] = None,
         poll_interval: float = 0.05,
-        sleep: Callable[[float], None] = time.sleep,
     ) -> None:
-        if shard_workers < 1:
-            raise invalid_field(
-                "ShardScheduler", "shard_workers", shard_workers,
-                "the scheduler needs at least one worker",
-            )
         if shard_timeout is not None and shard_timeout <= 0:
             raise invalid_field(
                 "ShardScheduler", "shard_timeout", shard_timeout,
-                "a timeout must be positive (None disables it)",
+                "the lease timeout must be positive",
             )
-        self._data_dir = Path(data_dir)
-        self._checkpoint = SweepCheckpoint(self._data_dir / "checkpoints")
-        self._workers = shard_workers
-        self._shards_per_job = shards_per_job or 2 * shard_workers
+        if shards_per_job is not None and shards_per_job < 1:
+            raise invalid_field(
+                "ShardScheduler", "shards_per_job", shards_per_job,
+                "a job needs at least one shard",
+            )
+        self._checkpoint = SweepCheckpoint(Path(data_dir) / "checkpoints")
+        self._board = board
+        self._shards_per_job = shards_per_job or DEFAULT_SHARDS_PER_JOB
         self._retry = retry if retry is not None else RetryPolicy()
-        self._shard_timeout = shard_timeout
-        self._schedule_store = (
-            str(schedule_store) if schedule_store is not None else None
+        self._lease_timeout = (
+            shard_timeout if shard_timeout is not None else DEFAULT_LEASE_TIMEOUT
         )
         self._poll = poll_interval
-        self._sleep = sleep
-        self._executor: Optional[ProcessPoolExecutor] = None
 
-    # ------------------------------------------------------------------
-    # Pool lifecycle (mechanism; the run loop owns policy)
-    # ------------------------------------------------------------------
-    def _ensure_executor(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self._workers)
-        return self._executor
-
-    @staticmethod
-    def _terminate_processes(executor: ProcessPoolExecutor) -> None:
-        processes = getattr(executor, "_processes", None) or {}
-        for process in list(processes.values()):
-            try:
-                process.terminate()
-            except (OSError, ValueError):  # already gone
-                pass
-
-    def _respawn(self, kill: bool) -> None:
-        default_registry().inc("service.respawns")
-        executor = self._executor
-        self._executor = None
-        if executor is not None:
-            if kill:
-                self._terminate_processes(executor)
-            executor.shutdown(wait=False, cancel_futures=True)
-
-    def close(self, kill: bool = False) -> None:
-        """Shut the worker pool down (idempotent; a fresh pool is
-        spawned on demand if the scheduler is reused)."""
-        executor = self._executor
-        self._executor = None
-        if executor is not None:
-            if kill:
-                self._terminate_processes(executor)
-            executor.shutdown(wait=not kill, cancel_futures=True)
-
-    # ------------------------------------------------------------------
-    # The job loop
     # ------------------------------------------------------------------
     def run_job(
         self,
@@ -317,275 +216,206 @@ class ShardScheduler:
     ) -> ScenarioOutcome:
         """Run one job to completion (or quarantine) and merge its report.
 
-        ``stop`` is an optional ``threading.Event``: once set, the pool
-        is killed and :class:`JobInterrupted` raised — the graceful
-        drain path (finished seeds are already durable).
-        ``on_progress`` receives ``{"seeds_done", "seeds_total",
-        "shards": [...]}`` snapshots, which the HTTP status endpoint
+        ``stop`` is an optional ``threading.Event``: once set,
+        :class:`JobInterrupted` is raised — the graceful drain path
+        (finished seeds are already durable).  ``on_progress`` receives
+        the board's progress document, which the HTTP status endpoint
         serves.
         """
         topology, config = lower_job(spec, repeats, base_seed, kernel, setup_kernel)
         key = self._checkpoint.key_for(topology, config)
         seeds = [config.base_seed + i for i in range(config.repeats)]
+        default_registry().gauge("service.job.seeds_total", len(seeds))
+
+        # Two passes at most: a seed can land while its checkpoint line
+        # was silently corrupted (a lying disk — the chaos drill's
+        # ``corrupt_checkpoint_seeds``); the line digest makes the
+        # loader drop it, so a seed still missing after the first pass
+        # gets one recovery pass before the merge may fail the job.
         done = self._checkpoint.load(key)
-        missing = [s for s in seeds if s not in done]
-
-        registry = default_registry()
-        registry.gauge("service.job.seeds_total", len(seeds))
-
         failures: List[FailedRun] = []
-        if missing:
-            failures = self._supervise(
-                spec, config, key, missing, len(seeds),
+        for recovery in (False, True):
+            quarantined = {f.seed for f in failures}
+            missing = [s for s in seeds if s not in done and s not in quarantined]
+            if not missing:
+                break
+            if recovery:
+                default_registry().inc("service.recovery_passes")
+            failures += self._lease_out(
+                spec, config, key, missing, set(done),
                 kernel, setup_kernel, stop, on_progress,
             )
+            done = self._checkpoint.load(key)
+        failures.sort(key=lambda f: f.seed)
+        return merge_outcome(
+            spec, topology, config, done, seeds, failures,
+            self._retry.max_attempts,
+        )
 
-        # A shard can report success while an append was silently
-        # corrupted (a lying disk — the chaos drill's
-        # ``corrupt_checkpoint_seeds``): the line digest makes the
-        # loader drop such records, so any seed still missing gets one
-        # recovery pass before the merge is allowed to fail the job.
-        quarantined = {f.seed for f in failures}
-        on_disk = self._checkpoint.load(key)
-        leftover = [
-            s for s in seeds if s not in quarantined and s not in on_disk
-        ]
-        if leftover:
-            registry.inc("service.recovery_passes")
-            failures = failures + self._supervise(
-                spec, config, key, leftover, len(seeds),
-                kernel, setup_kernel, stop, on_progress,
-            )
-            failures.sort(key=lambda f: f.seed)
-
-        return self._merge(spec, topology, config, key, seeds, failures)
-
-    def _supervise(
+    def _lease_out(
         self,
         spec: ScenarioSpec,
         config: ExperimentConfig,
         key: str,
         missing: List[int],
-        total: int,
+        done: Set[int],
         kernel: Optional[str],
         setup_kernel: Optional[str],
         stop,
         on_progress,
     ) -> List[FailedRun]:
         registry = default_registry()
-        plan = active_fault_plan()
-        spec_json = spec.to_json(indent=None)
-        pending: Deque[_Shard] = deque(
-            _Shard(chunk, 1)
+        shards = [
+            chunk
             for chunk in seed_chunks(missing, self._shards_per_job)
             if chunk
+        ]
+        job_id = job_key(spec, config.repeats, config.base_seed, kernel, setup_kernel)
+        registry.inc("service.shards", len(shards))
+        self._board.open_job(
+            job_id, spec.to_json(indent=None), config.repeats,
+            config.base_seed, kernel, setup_kernel, key,
+            self._retry, shards, done,
         )
-        in_flight: List[_Flight] = []
-        failures: List[FailedRun] = []
-
-        def submit_args(shard: _Shard):
-            return (
-                spec_json,
-                config.repeats,
-                config.base_seed,
-                kernel,
-                setup_kernel,
-                shard.seeds,
-                str(self._checkpoint.root),
-                self._schedule_store,
-            )
-
         try:
-            while pending or in_flight:
+            while not self._board.job_finished(job_id):
+                if self._board.job_halted(job_id):
+                    raise ServiceHalt(f"injected service halt in job {job_id[:12]}")
                 if stop is not None and stop.is_set():
                     raise JobInterrupted("service drain requested")
-                now = time.monotonic()
-
-                # Dispatch ready shards while the pool has capacity.
-                dispatched = True
-                while dispatched and len(in_flight) < self._workers:
-                    dispatched = False
-                    for _ in range(len(pending)):
-                        shard = pending.popleft()
-                        if shard.ready_at > now:
-                            pending.append(shard)
-                            continue
-                        if plan is not None:
-                            # ServiceHalt (the kill -9 stand-in) must
-                            # escape the whole scheduler: BaseException,
-                            # raised before any supervision wraps it.
-                            plan.before_shard(shard.seeds)
-                        try:
-                            if plan is not None:
-                                plan.before_submit(shard.seeds)
-                            future = self._ensure_executor().submit(
-                                _run_shard, *submit_args(shard)
-                            )
-                        except BrokenExecutor as exc:
-                            self._respawn(False)
-                            self._retry_or_fail(
-                                shard, exc, "crash", pending, failures, now
-                            )
-                        except Exception as exc:
-                            self._retry_or_fail(
-                                shard, exc, "submit", pending, failures, now
-                            )
-                        else:
-                            registry.inc("service.shards")
-                            in_flight.append(_Flight(shard, future, now))
-                            dispatched = True
-                        break
-
-                # Harvest finished shards.
-                pool_broke = False
-                for flight in list(in_flight):
-                    if not flight.future.done():
-                        continue
-                    in_flight.remove(flight)
-                    if flight.future.cancelled():
-                        pending.append(
-                            _Shard(flight.shard.seeds, flight.shard.attempt)
-                        )
-                        continue
-                    exc = flight.future.exception()
-                    if exc is None:
-                        continue  # results are in the checkpoint
-                    now = time.monotonic()
-                    if isinstance(exc, BrokenExecutor):
-                        pool_broke = True
-                        self._retry_or_fail(
-                            flight.shard, exc, "crash", pending, failures, now
-                        )
-                    else:
-                        self._retry_or_fail(
-                            flight.shard, exc, "error", pending, failures, now
-                        )
-                if pool_broke:
-                    # Every sibling future on the dead pool fails with
-                    # BrokenExecutor too (harvested above or next tick);
-                    # discard the executor so redispatch gets a new one.
-                    self._respawn(False)
-
-                # Heartbeats: progress is "my seeds in the store".
-                done_seeds = (
-                    set(self._checkpoint.load(key))
-                    if (in_flight or on_progress is not None)
-                    else set()
-                )
-                now = time.monotonic()
-                stalled: Optional[_Flight] = None
-                for flight in in_flight:
-                    progress = sum(
-                        1 for s in flight.shard.seeds if s in done_seeds
+                self._board.revoke_stale(self._lease_timeout)
+                progress = self._board.progress(job_id)
+                if progress is not None:
+                    registry.gauge(
+                        "service.job.seeds_done", progress["seeds_done"]
                     )
-                    if progress > flight.progress:
-                        flight.progress = progress
-                        flight.last_advance = now
-                    elif (
-                        self._shard_timeout is not None
-                        and now - flight.last_advance > self._shard_timeout
-                    ):
-                        stalled = flight
-                if stalled is not None:
-                    # Kill the pool to reclaim the wedged worker; the
-                    # stalled shard is charged an attempt, its innocent
-                    # neighbours are re-queued without blame.
-                    registry.inc("service.timeouts")
-                    self._respawn(True)
-                    in_flight.remove(stalled)
-                    self._retry_or_fail(
-                        stalled.shard,
-                        TimeoutError(
-                            f"no seed completed in {self._shard_timeout}s"
-                        ),
-                        "timeout",
-                        pending,
-                        failures,
-                        now,
+                    registry.gauge(
+                        "service.job.shards_active", len(progress["shards"])
                     )
-                    for flight in in_flight:
-                        pending.append(
-                            _Shard(flight.shard.seeds, flight.shard.attempt)
-                        )
-                    in_flight.clear()
-
-                if on_progress is not None or in_flight or pending:
-                    seeds_done = len(done_seeds)
-                    registry.gauge("service.job.seeds_done", seeds_done)
-                    registry.gauge("service.job.shards_active", len(in_flight))
                     if on_progress is not None:
-                        on_progress(
-                            {
-                                "seeds_done": seeds_done,
-                                "seeds_total": total,
-                                "shards": [
-                                    {
-                                        "seeds": len(f.shard.seeds),
-                                        "done": f.progress,
-                                        "attempt": f.shard.attempt,
-                                    }
-                                    for f in in_flight
-                                ],
-                            }
-                        )
+                        on_progress(progress)
+                time.sleep(self._poll)
+            return self._board.take_failures(job_id)
+        finally:
+            self._board.close_job(job_id)
 
-                if pending or in_flight:
-                    self._sleep(self._poll)
-        except BaseException:
-            # Drain, ServiceHalt, KeyboardInterrupt: never leave workers
-            # running a job nobody will collect.
-            self.close(kill=True)
-            raise
 
-        failures.sort(key=lambda f: f.seed)
-        return failures
+def _owned_worker(
+    base_url: str,
+    worker_id: str,
+    token: Optional[str],
+    schedule_store: Optional[str],
+) -> None:
+    """An owned worker process's body: attach the service's schedule
+    store, then run the ordinary worker loop — exiting at once if the
+    service dies (``kill -9`` leaves no one to stop an orphan)."""
+    from .worker import worker_main  # worker imports this module
 
-    def _retry_or_fail(
+    def exit_with_parent() -> None:
+        multiprocessing.parent_process().join()
+        os._exit(0)
+
+    threading.Thread(target=exit_with_parent, daemon=True).start()
+    if schedule_store is not None:
+        configure_schedule_cache(store=schedule_store)
+    worker_main(base_url, worker_id=worker_id, token=token)
+
+
+class OwnedWorkers:
+    """The service's own shard workers (``service start --shard-workers``).
+
+    Each is a :func:`~repro.service.worker.worker_main` process started
+    with the ``spawn`` method and given the service's token and
+    schedule store; it claims, runs and uploads exactly like an
+    external worker.  :meth:`supervise` (called on the service's
+    dispatcher tick) is the only special treatment they get, because
+    the service can see and kill its own processes:
+
+    * a worker that has exited is charged ``"crash"`` on every lease it
+      held and respawned;
+    * a worker holding a lease that landed no seed for ``shard_timeout``
+      seconds is killed, charged ``"timeout"`` and respawned.
+    """
+
+    def __init__(
         self,
-        shard: _Shard,
-        exc: BaseException,
-        kind: str,
-        pending: Deque[_Shard],
-        failures: List[FailedRun],
-        now: float,
+        board: ShardBoard,
+        count: int,
+        shard_timeout: float,
+        token: Optional[str] = None,
+        schedule_store: Optional[str] = None,
     ) -> None:
-        """Requeue (with backoff), bisect, or quarantine — the same
-        policy ladder as chunk supervision, one layer up."""
-        registry = default_registry()
-        if shard.attempt < self._retry.max_attempts:
-            registry.inc("service.retries")
-            delay = self._retry.delay(shard.attempt, key=shard.seeds[0])
-            pending.append(
-                _Shard(shard.seeds, shard.attempt + 1, ready_at=now + delay)
-            )
-            return
-        if len(shard.seeds) > 1:
-            registry.inc("service.bisections")
-            mid = len(shard.seeds) // 2
-            pending.append(_Shard(shard.seeds[:mid], 1))
-            pending.append(_Shard(shard.seeds[mid:], 1))
-            return
-        registry.inc("service.quarantined")
-        failures.append(
-            FailedRun(
-                seed=shard.seeds[0],
-                attempts=shard.attempt,
-                kind=kind,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-        )
+        self._board = board
+        self._timeout = shard_timeout
+        self._token = token
+        self._schedule_store = schedule_store
+        self._context = multiprocessing.get_context("spawn")
+        self._ids = [f"local-{slot}" for slot in range(count)]
+        self._processes: List[Optional[multiprocessing.process.BaseProcess]] = [
+            None
+        ] * count
+        self._url: Optional[str] = None
+        self._lock = threading.Lock()
+        board.owned.update(self._ids)
 
-    # ------------------------------------------------------------------
-    def _merge(
-        self,
-        spec: ScenarioSpec,
-        topology: Topology,
-        config: ExperimentConfig,
-        key: str,
-        seeds: List[int],
-        failures: List[FailedRun],
-    ) -> ScenarioOutcome:
-        return merge_outcome(
-            spec, topology, config, self._checkpoint, key, seeds,
-            failures, self._retry.max_attempts,
+    @property
+    def pids(self) -> List[int]:
+        """Process ids of the live workers."""
+        return [p.pid for p in self._processes if p is not None and p.is_alive()]
+
+    def start(self, base_url: str) -> None:
+        """Spawn every worker against the service at ``base_url``."""
+        self._url = base_url
+        for slot in range(len(self._ids)):
+            self._spawn(slot)
+
+    def _spawn(self, slot: int) -> None:
+        process = self._context.Process(
+            target=_owned_worker,
+            args=(self._url, self._ids[slot], self._token, self._schedule_store),
+            name=self._ids[slot],
+            daemon=True,
         )
+        process.start()
+        self._processes[slot] = process
+
+    def supervise(self) -> None:
+        """Charge and respawn dead or wedged workers (see the class
+        docstring)."""
+        with self._lock:
+            if self._url is not None:
+                self._reap()
+
+    def _reap(self) -> None:
+        for slot, worker in enumerate(self._ids):
+            process = self._processes[slot]
+            if process.is_alive():
+                if not self._board.stalled(worker, self._timeout):
+                    continue
+                process.kill()
+                process.join()
+                kind, error = "timeout", f"no seed landed in {self._timeout}s"
+            else:
+                process.join()
+                kind, error = "crash", f"worker exited with code {process.exitcode}"
+            self._board.charge(worker, kind, error)
+            default_registry().inc("service.respawns")
+            self._spawn(slot)
+
+    def stop(self) -> None:
+        """Drain every worker (SIGTERM: finish the seed in flight,
+        release the lease), kill any still running after
+        :data:`DRAIN_GRACE_S`, and reap them all.  No respawns
+        afterwards."""
+        with self._lock:
+            self._url = None
+            processes = [p for p in self._processes if p is not None]
+            for process in processes:
+                if process.is_alive():
+                    process.terminate()
+            deadline = time.monotonic() + DRAIN_GRACE_S
+            for process in processes:
+                process.join(max(deadline - time.monotonic(), 0.0))
+                if process.is_alive():
+                    process.kill()
+                    process.join()

@@ -1,35 +1,25 @@
-"""Server side of the multi-host worker transport: leases over HTTP.
+"""The lease board: every shard the service runs is leased over HTTP.
 
-PR 8's :class:`~repro.service.scheduler.ShardScheduler` runs a job's
-shards on a *local* process pool and reads their heartbeats out of the
-job's :class:`~repro.experiments.SweepCheckpoint`.  This module is the
-same supervision contract with a network in the middle:
+The :class:`ShardBoard` is the service's lease table, and the only way
+a job's seeds reach a worker — the service's own workers and external
+``repro worker start --connect`` processes alike:
 
-* the :class:`ShardBoard` is the service's lease table — remote workers
-  ``POST /shards/claim`` to borrow a shard, and every completed seed
-  they ``POST /shards/<id>/seeds`` is appended to the job's checkpoint
-  *server-side*, so the durability write doubles as the lease renewal
-  exactly the way the local scheduler's checkpoint-append doubles as
-  the heartbeat;
-* a lease that lands no seed for ``shard_timeout`` seconds is revoked
-  and its shard re-queued **blame-free** — a stalled lease blames the
-  network or the worker (death, partition), never the seeds, which is
-  the stall-not-duration discipline one layer out;
-* seed uploads are **idempotent**: the board dedups by
-  ``(job, shard, seed)`` (a seed already durable is never appended
-  again), so a duplicated, replayed or post-revocation-stale upload is
-  harmless and a revoked lease can never double-count a seed;
-* worker-*reported* failures (the run raised) walk the same
-  retry-with-backoff → bisect → quarantine ladder as local shards, so
-  poison seeds end as the same structured
-  :class:`~repro.experiments.FailedRun` records.
-
-:class:`RemoteShardScheduler` is the drop-in counterpart of the local
-scheduler: ``run_job`` opens the job on the board, watches lease
-health, and merges the checkpoint through the shared
-:func:`~repro.service.scheduler.merge_outcome` — so a report produced
-by remote workers is byte-identical to a local-pool run and to an
-uninterrupted serial run, which the chaos drills assert literally.
+* workers ``POST /shards/claim`` to borrow a shard, and every completed
+  seed they ``POST /shards/<id>/seeds`` is appended to the job's
+  checkpoint *server-side*, so the durability write doubles as the
+  lease renewal;
+* retry, backoff, bisection and quarantine are the job's
+  :class:`~repro.experiments.RetryLedger` — the same ladder
+  :class:`~repro.experiments.WorkerSupervisor` walks for the CLI pool —
+  charged with the failure's real kind: ``"error"`` when the worker
+  reports the run raised, ``"crash"`` or ``"timeout"`` when the service
+  finds one of its own workers dead or wedged (:meth:`ShardBoard.charge`);
+* an *external* lease that lands no seed for ``shard_timeout`` seconds
+  is revoked and its shard re-queued **blame-free** — a stalled remote
+  lease convicts the network or the worker, never the seeds;
+* seed uploads are **idempotent**: a seed already durable is never
+  appended again, so a duplicated, replayed or post-revocation-stale
+  upload is harmless and a revoked lease can never double-count a seed.
 
 The board holds no state worth preserving: kill the service at any
 instant and the (job store, checkpoint store) pair on disk is still
@@ -41,39 +31,24 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import OrderedDict, deque
-from pathlib import Path
-from typing import Callable, Deque, Dict, List, Optional, Set, Tuple, Union
+from collections import OrderedDict
+from typing import Dict, List, Optional, Set, Tuple
 
-from ..errors import invalid_field
 from ..experiments import (
     FailedRun,
+    RetryLedger,
     RetryPolicy,
+    ServiceHalt,
+    Shard,
     SweepCheckpoint,
     active_fault_plan,
     result_from_dict,
-    seed_chunks,
 )
-from ..scenarios import ScenarioOutcome, ScenarioSpec
 from ..telemetry import default_registry
-from .scheduler import JobInterrupted, lower_job, merge_outcome
-from .state import job_key
 
-#: Lease timeout applied in remote mode when the operator gives none:
-#: a dead or partitioned worker must never wedge a job forever, so
-#: unlike the local scheduler the watchdog cannot default to "off".
+#: The lease stall timeout when the operator gives none: a dead or
+#: partitioned worker must never wedge a job forever.
 DEFAULT_LEASE_TIMEOUT = 60.0
-
-
-class _BoardShard:
-    """One shard queued for (re-)lease."""
-
-    __slots__ = ("seeds", "attempt", "ready_at")
-
-    def __init__(self, seeds: Tuple[int, ...], attempt: int, ready_at: float = 0.0):
-        self.seeds = seeds
-        self.attempt = attempt
-        self.ready_at = ready_at
 
 
 class _Lease:
@@ -81,7 +56,7 @@ class _Lease:
 
     __slots__ = ("shard_id", "shard", "worker", "last_advance")
 
-    def __init__(self, shard_id: str, shard: _BoardShard, worker: str, now: float):
+    def __init__(self, shard_id: str, shard: Shard, worker: str, now: float):
         self.shard_id = shard_id
         self.shard = shard
         self.worker = worker
@@ -89,64 +64,46 @@ class _Lease:
 
 
 class _BoardJob:
-    """Server-side context of one job open for remote execution."""
+    """Server-side context of one job open for lease."""
 
     __slots__ = (
-        "job_id", "spec_json", "repeats", "base_seed", "kernel",
-        "setup_kernel", "key", "retry", "outstanding", "done",
-        "quarantined", "pending", "leases", "failures", "next_shard",
+        "job_id", "key", "ledger", "lease_doc", "leases", "next_shard", "halted",
     )
 
     def __init__(
-        self,
-        job_id: str,
-        spec_json: str,
-        repeats: int,
-        base_seed: int,
-        kernel: Optional[str],
-        setup_kernel: Optional[str],
-        key: str,
-        retry: RetryPolicy,
-        shards: List[Tuple[int, ...]],
-        done: Set[int],
+        self, job_id: str, key: str, ledger: RetryLedger, lease_doc: Dict[str, object]
     ) -> None:
         self.job_id = job_id
-        self.spec_json = spec_json
-        self.repeats = repeats
-        self.base_seed = base_seed
-        self.kernel = kernel
-        self.setup_kernel = setup_kernel
         self.key = key
-        self.retry = retry
-        self.outstanding: Set[int] = {s for chunk in shards for s in chunk}
-        self.done: Set[int] = set(done)
-        self.quarantined: Set[int] = set()
-        self.pending: Deque[_BoardShard] = deque(
-            _BoardShard(chunk, 1) for chunk in shards
-        )
+        self.ledger = ledger
+        #: What every lease of the job tells its worker besides the seeds.
+        self.lease_doc = lease_doc
         self.leases: Dict[str, _Lease] = {}
-        self.failures: List[FailedRun] = []
         self.next_shard = 0
-
-    def finished(self) -> bool:
-        return self.outstanding <= (self.done | self.quarantined)
+        self.halted = False
 
 
 class ShardBoard:
-    """The service's lease table: shards out for claim by remote workers.
+    """The service's lease table: shards out for claim by workers.
 
-    Thread-safe (HTTP handler threads claim/upload while a scheduler
-    thread supervises); supports several concurrently open jobs —
-    claims drain jobs in open order, so ``--max-jobs`` and remote
-    workers compose.  The checkpoint append inside :meth:`record_seed`
-    runs under the board lock, which also serialises writers to one
-    job's checkpoint file.
+    Thread-safe (HTTP handler threads claim/upload while scheduler and
+    supervision threads watch); supports several concurrently open jobs
+    — claims drain jobs in open order, so ``--max-jobs`` and any number
+    of workers compose.  The checkpoint append inside
+    :meth:`record_seed` runs under the board lock, which also serialises
+    writers to one job's checkpoint file.
+
+    :attr:`owned` names the service's own workers: their stalled leases
+    are not revoked blame-free by :meth:`revoke_stale` — the service
+    kills the wedged process and charges the lease (:meth:`charge`)
+    instead.
     """
 
     def __init__(self, checkpoint: SweepCheckpoint) -> None:
         self._checkpoint = checkpoint
         self._lock = threading.Lock()
         self._jobs: "OrderedDict[str, _BoardJob]" = OrderedDict()
+        self.owned: Set[str] = set()
         # Fleet bookkeeping for GET /workers: every worker id the board
         # has ever seen this process lifetime (leases are ephemeral, so
         # this is observability state, never scheduling state).
@@ -175,12 +132,18 @@ class ShardBoard:
         shards: List[Tuple[int, ...]],
         done: Set[int],
     ) -> None:
-        """Publish one job's missing shards for remote claim."""
+        """Publish one job's missing shards for claim."""
+        lease_doc = {
+            "job": job_id,
+            "spec": spec_json,
+            "repeats": repeats,
+            "base_seed": base_seed,
+            "kernel": kernel,
+            "setup_kernel": setup_kernel,
+        }
+        ledger = RetryLedger(shards, retry, "service", done=done)
         with self._lock:
-            self._jobs[job_id] = _BoardJob(
-                job_id, spec_json, repeats, base_seed, kernel,
-                setup_kernel, key, retry, shards, done,
-            )
+            self._jobs[job_id] = _BoardJob(job_id, key, ledger, lease_doc)
 
     def close_job(self, job_id: str) -> None:
         """Withdraw a job (finished, interrupted or halted).  Uploads
@@ -193,7 +156,14 @@ class ShardBoard:
         """Whether every outstanding seed is durable or quarantined."""
         with self._lock:
             job = self._jobs.get(job_id)
-            return job is None or job.finished()
+            return job is None or job.ledger.finished()
+
+    def job_halted(self, job_id: str) -> bool:
+        """Whether a claim of this job hit the chaos harness's
+        ``halt_seeds`` fault (the service must die right here)."""
+        with self._lock:
+            job = self._jobs.get(job_id)
+            return job is not None and job.halted
 
     def take_failures(self, job_id: str) -> List[FailedRun]:
         """The job's quarantine records, seed-ordered."""
@@ -201,28 +171,49 @@ class ShardBoard:
             job = self._jobs.get(job_id)
             if job is None:
                 return []
-            return sorted(job.failures, key=lambda f: f.seed)
+            return sorted(job.ledger.failures, key=lambda f: f.seed)
 
     def revoke_stale(self, timeout: float, now: Optional[float] = None) -> int:
-        """Revoke every lease that has landed no seed for ``timeout``
-        seconds and re-queue its shard *blame-free* (same attempt
-        number): a stalled lease convicts the worker or the network,
-        never the seeds.  Returns the number of leases revoked."""
+        """Revoke every external lease that has landed no seed for
+        ``timeout`` seconds and re-queue its shard *blame-free*.
+        Returns the number of leases revoked."""
         now = time.monotonic() if now is None else now
         revoked = 0
         with self._lock:
             for job in self._jobs.values():
                 for lease in list(job.leases.values()):
+                    if lease.worker in self.owned:
+                        continue
                     if now - lease.last_advance <= timeout:
                         continue
                     del job.leases[lease.shard_id]
-                    job.pending.append(
-                        _BoardShard(lease.shard.seeds, lease.shard.attempt, now)
-                    )
+                    job.ledger.release(lease.shard, now)
                     revoked += 1
         if revoked:
             default_registry().inc("service.leases.revoked", revoked)
         return revoked
+
+    def stalled(self, worker: str, timeout: float) -> bool:
+        """Whether ``worker`` holds a lease that has landed no seed for
+        ``timeout`` seconds."""
+        now = time.monotonic()
+        with self._lock:
+            return any(
+                lease.worker == worker and now - lease.last_advance > timeout
+                for job in self._jobs.values()
+                for lease in job.leases.values()
+            )
+
+    def charge(self, worker: str, kind: str, error: str) -> None:
+        """Fail every lease ``worker`` holds with ``kind`` (the service
+        found its own worker dead or wedged)."""
+        now = time.monotonic()
+        with self._lock:
+            for job in self._jobs.values():
+                for lease in list(job.leases.values()):
+                    if lease.worker == worker:
+                        del job.leases[lease.shard_id]
+                        job.ledger.fail(lease.shard, kind, error, now)
 
     def progress(self, job_id: str) -> Optional[Dict[str, object]]:
         """The live-progress document the status endpoint serves."""
@@ -230,19 +221,20 @@ class ShardBoard:
             job = self._jobs.get(job_id)
             if job is None:
                 return None
+            ledger = job.ledger
             return {
-                "seeds_done": len(job.done & job.outstanding),
-                "seeds_total": len(job.outstanding),
+                "seeds_done": len(ledger.done & ledger.seeds),
+                "seeds_total": len(ledger.seeds),
                 "shards": [
                     {
                         "seeds": len(lease.shard.seeds),
-                        "done": len(set(lease.shard.seeds) & job.done),
+                        "done": len(ledger.done.intersection(lease.shard.seeds)),
                         "attempt": lease.shard.attempt,
                         "worker": lease.worker,
                     }
                     for lease in job.leases.values()
                 ],
-                "pending_shards": len(job.pending),
+                "pending_shards": ledger.pending,
                 "workers": sorted({l.worker for l in job.leases.values()}),
             }
 
@@ -285,36 +277,34 @@ class ShardBoard:
         ever costs its still-missing seeds.
         """
         now = time.monotonic() if now is None else now
+        plan = active_fault_plan()
         with self._lock:
             for job in self._jobs.values():
-                for _ in range(len(job.pending)):
-                    shard = job.pending.popleft()
-                    if shard.ready_at > now:
-                        job.pending.append(shard)
+                if job.halted:
+                    continue
+                shard = job.ledger.claim(now)
+                if shard is None:
+                    continue
+                if plan is not None:
+                    try:
+                        # The kill -9 stand-in fires as a shard is
+                        # dispatched; the job's scheduler raises it.
+                        plan.before_shard(shard.seeds)
+                    except ServiceHalt:
+                        job.halted = True
+                        job.ledger.release(shard, now)
                         continue
-                    missing = tuple(
-                        s for s in shard.seeds
-                        if s not in job.done and s not in job.quarantined
-                    )
-                    if not missing:
-                        continue  # satisfied while queued; drop it
-                    shard.seeds = missing
-                    job.next_shard += 1
-                    shard_id = f"{job.job_id[:12]}.{job.next_shard}"
-                    job.leases[shard_id] = _Lease(shard_id, shard, worker, now)
-                    self._stats_for(worker)["claims"] += 1
-                    default_registry().inc("service.leases.granted")
-                    return {
-                        "job": job.job_id,
-                        "shard": shard_id,
-                        "seeds": list(missing),
-                        "attempt": shard.attempt,
-                        "spec": job.spec_json,
-                        "repeats": job.repeats,
-                        "base_seed": job.base_seed,
-                        "kernel": job.kernel,
-                        "setup_kernel": job.setup_kernel,
-                    }
+                job.next_shard += 1
+                shard_id = f"{job.job_id[:12]}.{job.next_shard}"
+                job.leases[shard_id] = _Lease(shard_id, shard, worker, now)
+                self._stats_for(worker)["claims"] += 1
+                default_registry().inc("service.leases.granted")
+                return {
+                    **job.lease_doc,
+                    "shard": shard_id,
+                    "seeds": list(shard.seeds),
+                    "attempt": shard.attempt,
+                }
         return None
 
     def record_seed(
@@ -327,11 +317,11 @@ class ShardBoard:
     ) -> Dict[str, object]:
         """One uploaded seed result: append-if-new, renew the lease.
 
-        The append is the durability write *and* the heartbeat; dedup
-        by ``(job, shard, seed)`` makes duplicated and replayed uploads
-        harmless (``duplicate: true``), and an upload against a revoked
-        lease is still accepted (the result is deterministic, the bytes
-        are the same) but marked ``stale: true`` and renews nothing.
+        The append is the durability write *and* the heartbeat; a seed
+        already settled is never appended again (``duplicate: true``),
+        and an upload against a revoked lease is still accepted (the
+        result is deterministic, the bytes are the same) but marked
+        ``stale: true`` and renews nothing.
         """
         # Parse outside the lock: a malformed document must not poison
         # the board, and ValueError/KeyError surface as a 400 upstream.
@@ -344,17 +334,18 @@ class ShardBoard:
             if job is None:
                 registry.inc("service.uploads.unknown")
                 return {"accepted": False, "known": False}
-            duplicate = seed in job.done
+            duplicate = job.ledger.settled(seed)
             if not duplicate:
                 self._checkpoint.append(job.key, seed, result)
-                job.done.add(seed)
+                job.ledger.land(seed)
                 stats["seeds_landed"] += 1
             lease = job.leases.get(shard_id)
             stale = lease is None or lease.worker != worker
             if not stale:
                 lease.last_advance = time.monotonic()
-                if all(s in job.done for s in lease.shard.seeds):
+                if not job.ledger.missing(lease.shard.seeds):
                     del job.leases[shard_id]
+                    job.ledger.release(lease.shard, lease.last_advance)
         registry.inc(
             "service.uploads.duplicate" if duplicate else "service.uploads.accepted"
         )
@@ -367,53 +358,35 @@ class ShardBoard:
             "stale": stale,
         }
 
+    def _end_lease(
+        self, job_id: str, shard_id: str, worker: str
+    ) -> Tuple[Optional[_BoardJob], Optional[_Lease]]:
+        """Remove ``worker``'s lease ``shard_id`` (caller holds the
+        lock); ``(None, None)`` for an unknown job, ``(job, None)`` for
+        a lease revoked in the meantime."""
+        job = self._jobs.get(job_id)
+        if job is None:
+            return None, None
+        lease = job.leases.get(shard_id)
+        if lease is None or lease.worker != worker:
+            return job, None
+        del job.leases[shard_id]
+        return job, lease
+
     def fail_shard(
         self, job_id: str, shard_id: str, worker: str, error: str
     ) -> Dict[str, object]:
         """A worker-reported shard failure (the run raised): charge the
-        shard an attempt and walk the retry → bisect → quarantine
-        ladder, exactly as the local scheduler's ``_retry_or_fail``."""
-        registry = default_registry()
+        shard an ``"error"`` attempt on the job's ledger."""
         with self._lock:
-            job = self._jobs.get(job_id)
+            job, lease = self._end_lease(job_id, shard_id, worker)
             if job is None:
                 return {"known": False}
-            lease = job.leases.get(shard_id)
-            if lease is None or lease.worker != worker:
+            if lease is None:
                 # Revoked in the meantime: the shard is already queued
-                # again, double-charging it would blame it twice.
+                # again, charging it would blame it twice.
                 return {"known": True, "stale": True}
-            del job.leases[shard_id]
-            shard = lease.shard
-            now = time.monotonic()
-            missing = tuple(
-                s for s in shard.seeds
-                if s not in job.done and s not in job.quarantined
-            )
-            if not missing:
-                return {"known": True, "stale": False}
-            if shard.attempt < job.retry.max_attempts:
-                registry.inc("service.remote.retries")
-                delay = job.retry.delay(shard.attempt, key=missing[0])
-                job.pending.append(
-                    _BoardShard(missing, shard.attempt + 1, now + delay)
-                )
-            elif len(missing) > 1:
-                registry.inc("service.remote.bisections")
-                mid = len(missing) // 2
-                job.pending.append(_BoardShard(missing[:mid], 1))
-                job.pending.append(_BoardShard(missing[mid:], 1))
-            else:
-                registry.inc("service.remote.quarantined")
-                job.quarantined.add(missing[0])
-                job.failures.append(
-                    FailedRun(
-                        seed=missing[0],
-                        attempts=shard.attempt,
-                        kind="error",
-                        error=error,
-                    )
-                )
+            job.ledger.fail(lease.shard, "error", error, time.monotonic())
         return {"known": True, "stale": False}
 
     def release_shard(
@@ -422,21 +395,12 @@ class ShardBoard:
         """A worker handing its lease back voluntarily (graceful
         drain): re-queue the remainder blame-free, immediately."""
         with self._lock:
-            job = self._jobs.get(job_id)
+            job, lease = self._end_lease(job_id, shard_id, worker)
             if job is None:
                 return {"known": False}
-            lease = job.leases.get(shard_id)
-            if lease is None or lease.worker != worker:
+            if lease is None:
                 return {"known": True, "stale": True}
-            del job.leases[shard_id]
-            missing = tuple(
-                s for s in lease.shard.seeds
-                if s not in job.done and s not in job.quarantined
-            )
-            if missing:
-                job.pending.append(
-                    _BoardShard(missing, lease.shard.attempt, time.monotonic())
-                )
+            job.ledger.release(lease.shard, time.monotonic())
         default_registry().inc("service.leases.released")
         return {"known": True, "stale": False}
 
@@ -445,150 +409,10 @@ class ShardBoard:
     ) -> Dict[str, object]:
         """A worker declaring its shard done (all seeds uploaded).  The
         last accepted upload usually released the lease already; this
-        closes the loop when every seed was deduped away instead."""
+        closes the loop when every seed was deduped away instead (any
+        seed still missing is re-queued blame-free)."""
         with self._lock:
-            job = self._jobs.get(job_id)
-            if job is None:
-                return {"known": False}
-            lease = job.leases.get(shard_id)
-            if lease is not None and lease.worker == worker:
-                del job.leases[shard_id]
-        return {"known": job_id in self._jobs}
-
-
-class RemoteShardScheduler:
-    """Executes one job through remote workers leasing from a board.
-
-    The drop-in remote counterpart of the local
-    :class:`~repro.service.scheduler.ShardScheduler` — same ``run_job``
-    signature, same merge, same byte-identity contract — but the
-    "pool" is whatever ``repro worker start --connect`` processes are
-    pulling from the service, on this host or any other.
-
-    Parameters mirror the local scheduler's where they apply;
-    ``shard_timeout`` becomes the lease timeout (default
-    :data:`DEFAULT_LEASE_TIMEOUT` rather than "off": a vanished remote
-    worker must never wedge a job).
-    """
-
-    def __init__(
-        self,
-        data_dir: Union[str, Path],
-        board: ShardBoard,
-        shards_per_job: Optional[int] = None,
-        retry: Optional[RetryPolicy] = None,
-        shard_timeout: Optional[float] = None,
-        poll_interval: float = 0.05,
-        sleep: Callable[[float], None] = time.sleep,
-    ) -> None:
-        if shard_timeout is not None and shard_timeout <= 0:
-            raise invalid_field(
-                "RemoteShardScheduler", "shard_timeout", shard_timeout,
-                "the lease timeout must be positive",
-            )
-        if shards_per_job is not None and shards_per_job < 1:
-            raise invalid_field(
-                "RemoteShardScheduler", "shards_per_job", shards_per_job,
-                "a job needs at least one shard",
-            )
-        self._checkpoint = SweepCheckpoint(Path(data_dir) / "checkpoints")
-        self._board = board
-        self._shards_per_job = shards_per_job or 4
-        self._retry = retry if retry is not None else RetryPolicy()
-        self._lease_timeout = (
-            shard_timeout if shard_timeout is not None else DEFAULT_LEASE_TIMEOUT
-        )
-        self._poll = poll_interval
-        self._sleep = sleep
-
-    @property
-    def checkpoint(self) -> SweepCheckpoint:
-        """The per-seed checkpoint store the board appends into."""
-        return self._checkpoint
-
-    def close(self, kill: bool = False) -> None:
-        """Nothing to shut down locally: leases expire server-side and
-        workers outlive any one job (they just claim the next)."""
-
-    # ------------------------------------------------------------------
-    def run_job(
-        self,
-        spec: ScenarioSpec,
-        repeats: Optional[int] = None,
-        base_seed: Optional[int] = None,
-        kernel: Optional[str] = None,
-        setup_kernel: Optional[str] = None,
-        stop=None,
-        on_progress: Optional[Callable[[Dict[str, object]], None]] = None,
-    ) -> ScenarioOutcome:
-        """Run one job to completion (or quarantine) via remote leases
-        and merge its report (byte-identical to a serial run)."""
-        topology, config = lower_job(spec, repeats, base_seed, kernel, setup_kernel)
-        key = self._checkpoint.key_for(topology, config)
-        seeds = [config.base_seed + i for i in range(config.repeats)]
-        done = self._checkpoint.load(key)
-        missing = [s for s in seeds if s not in done]
-
-        default_registry().gauge("service.job.seeds_total", len(seeds))
-
-        failures: List[FailedRun] = []
-        if missing:
-            failures = self._supervise(
-                spec, config, key, missing, set(done),
-                kernel, setup_kernel, stop, on_progress,
-            )
-        return merge_outcome(
-            spec, topology, config, self._checkpoint, key, seeds,
-            failures, self._retry.max_attempts,
-        )
-
-    def _supervise(
-        self,
-        spec: ScenarioSpec,
-        config,
-        key: str,
-        missing: List[int],
-        done: Set[int],
-        kernel: Optional[str],
-        setup_kernel: Optional[str],
-        stop,
-        on_progress,
-    ) -> List[FailedRun]:
-        registry = default_registry()
-        plan = active_fault_plan()
-        shards = [
-            chunk
-            for chunk in seed_chunks(missing, self._shards_per_job)
-            if chunk
-        ]
-        if plan is not None:
-            for chunk in shards:
-                # Same kill -9 stand-in as the local scheduler: the
-                # halt escapes before the board ever sees the job.
-                plan.before_shard(chunk)
-        job_id = job_key(spec, config.repeats, config.base_seed, kernel, setup_kernel)
-        registry.inc("service.remote.shards", len(shards))
-        self._board.open_job(
-            job_id, spec.to_json(indent=None), config.repeats,
-            config.base_seed, kernel, setup_kernel, key,
-            self._retry, shards, done,
-        )
-        try:
-            while not self._board.job_finished(job_id):
-                if stop is not None and stop.is_set():
-                    raise JobInterrupted("service drain requested")
-                self._board.revoke_stale(self._lease_timeout)
-                progress = self._board.progress(job_id)
-                if progress is not None:
-                    registry.gauge(
-                        "service.job.seeds_done", progress["seeds_done"]
-                    )
-                    registry.gauge(
-                        "service.job.shards_active", len(progress["shards"])
-                    )
-                    if on_progress is not None:
-                        on_progress(progress)
-                self._sleep(self._poll)
-            return self._board.take_failures(job_id)
-        finally:
-            self._board.close_job(job_id)
+            job, lease = self._end_lease(job_id, shard_id, worker)
+            if lease is not None:
+                job.ledger.release(lease.shard, time.monotonic())
+            return {"known": job is not None}

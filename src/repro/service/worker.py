@@ -1,13 +1,13 @@
-"""Remote shard workers: the pull-execute-upload loop behind
-``repro worker start --connect URL``.
+"""Shard workers: the pull-execute-upload loop behind
+``repro worker start --connect URL`` and every service-owned worker.
 
 A worker is a plain process on any host that can reach the service:
 
 * it ``POST /shards/claim``\\ s with a stable worker id, runs the
   leased shard's seeds through the exact
   :func:`~repro.service.scheduler.lower_job` +
-  :class:`~repro.experiments.ExperimentRunner` pipeline a local shard
-  worker would use (byte-identity starts at the lowering), and uploads
+  :class:`~repro.experiments.ExperimentRunner` pipeline a direct run
+  uses (byte-identity starts at the lowering), and uploads
   each finished seed immediately — the upload is the durability write
   *and* the lease heartbeat;
 * every HTTP call goes through :class:`WorkerTransport`: explicit
@@ -169,7 +169,7 @@ class WorkerTransport:
 
 
 class ShardWorker:
-    """The supervised pull-execute-upload loop of one remote worker.
+    """The supervised pull-execute-upload loop of one worker.
 
     ``idle_exit`` (seconds) makes the worker exit once no work has been
     claimable for that long — how the smoke drill's workers know the

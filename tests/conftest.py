@@ -1,6 +1,13 @@
-"""Shared fixtures: small topologies and schedules used across the suite."""
+"""Shared fixtures: small topologies and schedules used across the suite,
+and a real ``repro service start`` subprocess for the service drills."""
 
 from __future__ import annotations
+
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -61,3 +68,30 @@ def grid5_schedule(grid5: GridTopology) -> Schedule:
 def line5_schedule(line5: LineTopology) -> Schedule:
     """The canonical line schedule: slots descend away from the sink."""
     return centralized_das_schedule(line5, seed=None, jitter=False)
+
+
+@pytest.fixture
+def cli_service():
+    """Start ``repro service start --data-dir DIR --port 0 [ARGS]`` as a
+    subprocess with environment ``env``; returns ``(process, url)``.
+    Any service still running at teardown is killed."""
+    started = []
+    src = str(Path(__file__).resolve().parent.parent / "src")
+
+    def start(data_dir, env, *args):
+        env = dict(env, PYTHONPATH=src + os.pathsep + env.get("PYTHONPATH", ""))
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "service", "start",
+             "--data-dir", str(data_dir), "--port", "0", *args],
+            env=env, stderr=subprocess.PIPE, text=True,
+        )
+        started.append(process)
+        match = re.search(r"listening on (http://\S+)", process.stderr.readline())
+        assert match, "the service did not start"
+        return process, match.group(1)
+
+    yield start
+    for process in started:
+        if process.poll() is None:
+            process.kill()
+            process.wait()

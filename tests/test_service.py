@@ -18,6 +18,9 @@ The contracts under test, in increasing order of violence:
 from __future__ import annotations
 
 import json
+import os
+import signal
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -26,8 +29,16 @@ import pytest
 
 from repro.cli import main
 from repro.errors import ConfigurationError
-from repro.experiments import FaultPlan, RetryPolicy, ServiceHalt
+from repro.experiments import (
+    ExperimentRunner,
+    FaultPlan,
+    RetryPolicy,
+    ServiceHalt,
+    SweepCheckpoint,
+    result_to_dict,
+)
 from repro.scenarios import ScenarioRunner, ScenarioSpec, get_scenario
+from repro.telemetry import MetricsRegistry, use_registry
 from repro.service import (
     DONE,
     FAILED,
@@ -38,6 +49,7 @@ from repro.service import (
     JobStore,
     ServiceClient,
     ServiceError,
+    ShardBoard,
     ShardScheduler,
     SweepService,
     check_transition,
@@ -172,39 +184,65 @@ class TestJobStore:
 # The shard scheduler (no HTTP involved)
 # ----------------------------------------------------------------------
 class TestShardScheduler:
-    def test_clean_job_is_byte_identical_to_serial(self, tmp_path, direct):
+    @staticmethod
+    def run_with_board_worker(tmp_path, spec, repeats):
+        """Run one job through a :class:`ShardScheduler`, with an
+        in-process thread leasing from the board directly in place of
+        a worker process."""
+        board = ShardBoard(SweepCheckpoint(tmp_path / "checkpoints"))
         scheduler = ShardScheduler(
-            tmp_path, shard_workers=2, retry=FAST_RETRY
+            tmp_path, board, retry=FAST_RETRY, poll_interval=0.01
         )
+        stop = threading.Event()
+
+        def lease_loop():
+            while not stop.is_set():
+                claim = board.claim("w")
+                if claim is None:
+                    stop.wait(0.01)
+                    continue
+                topology, config = lower_job(
+                    ScenarioSpec.from_json(claim["spec"]),
+                    claim["repeats"], claim["base_seed"],
+                )
+                runner = ExperimentRunner(topology)
+                for seed in claim["seeds"]:
+                    board.record_seed(
+                        claim["job"], claim["shard"], "w", seed,
+                        result_to_dict(runner.run_once(config, seed)),
+                    )
+
+        thread = threading.Thread(target=lease_loop, daemon=True)
+        thread.start()
         try:
-            outcome = scheduler.run_job(
-                get_scenario("paper-baseline"), repeats=SEEDS
-            )
+            return scheduler.run_job(spec, repeats=repeats)
         finally:
-            scheduler.close()
+            stop.set()
+            thread.join(timeout=10.0)
+
+    def test_clean_job_is_byte_identical_to_serial(self, tmp_path, direct):
+        outcome = self.run_with_board_worker(
+            tmp_path, get_scenario("paper-baseline"), SEEDS
+        )
         assert not outcome.failures
         assert outcome.to_json() == direct.to_json()
 
     def test_second_run_merges_from_checkpoint(self, tmp_path, direct):
-        scheduler = ShardScheduler(
-            tmp_path, shard_workers=2, retry=FAST_RETRY
+        self.run_with_board_worker(tmp_path, get_scenario("paper-baseline"), SEEDS)
+        # Every seed is checkpointed now; the re-run must merge without
+        # a single lease (no worker serves this board).
+        board = ShardBoard(SweepCheckpoint(tmp_path / "checkpoints"))
+        outcome = ShardScheduler(tmp_path, board, retry=FAST_RETRY).run_job(
+            get_scenario("paper-baseline"), repeats=SEEDS
         )
-        try:
-            scheduler.run_job(get_scenario("paper-baseline"), repeats=SEEDS)
-            # Every seed is checkpointed now; the re-run must merge
-            # without executing anything (progress shows 0 missing).
-            outcome = scheduler.run_job(
-                get_scenario("paper-baseline"), repeats=SEEDS
-            )
-        finally:
-            scheduler.close()
         assert outcome.to_json() == direct.to_json()
 
     def test_validates_parameters(self, tmp_path):
         with pytest.raises(ConfigurationError):
-            ShardScheduler(tmp_path, shard_workers=0)
+            SweepService(tmp_path, shard_workers=-1)
+        board = ShardBoard(SweepCheckpoint(tmp_path / "c"))
         with pytest.raises(ConfigurationError):
-            ShardScheduler(tmp_path, shard_timeout=-1.0)
+            ShardScheduler(tmp_path, board, shard_timeout=-1.0)
 
     def test_lower_job_matches_scenario_runner(self):
         spec = get_scenario("paper-baseline")
@@ -366,6 +404,97 @@ class TestChaosDrills:
         # in the supervision ladder.
         assert not issubclass(ServiceHalt, Exception)
         assert issubclass(ServiceHalt, BaseException)
+
+
+# ----------------------------------------------------------------------
+# Service-owned workers
+# ----------------------------------------------------------------------
+def proc_stat(pid):
+    """``(state, ppid)`` from ``/proc/<pid>/stat``, or ``None``."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            fields = handle.read().rsplit(")", 1)[1].split()
+    except (FileNotFoundError, ProcessLookupError, IndexError):
+        return None
+    return fields[0], int(fields[1])
+
+
+def children_of(pid):
+    return {
+        int(entry) for entry in os.listdir("/proc")
+        if entry.isdigit() and (proc_stat(entry) or ("", -1))[1] == pid
+    }
+
+
+def running(pid):
+    stat = proc_stat(pid)
+    return stat is not None and stat[0] != "Z"
+
+
+class TestOwnedWorkers:
+    def test_hung_owned_worker_is_killed_charged_and_respawned(
+        self, tmp_path, direct
+    ):
+        """An owned worker wedges mid-shard: its lease stalls past the
+        shard timeout, the service kills it, charges the shard one
+        ``timeout`` and respawns it; the retried shard finishes and the
+        report is byte-identical."""
+        plan = FaultPlan(
+            hang_seeds=(2,), hang_seconds=120.0,
+            marker_dir=str(tmp_path / "markers"),
+        )
+        with use_registry(MetricsRegistry()), plan.activated():
+            service = start_service(tmp_path, shard_timeout=1.0)
+            try:
+                wait_for(lambda: len(service.worker_pids) == 2)
+                spawned = set(service.worker_pids)
+                record, _ = service.submit(
+                    {"scenario": "paper-baseline", "seeds": SEEDS}
+                )
+                wait_for(
+                    lambda: service.store.get(record.job_id).state == DONE,
+                    timeout=120.0,
+                )
+                counters = ServiceClient(service.url).status(record.job_id)[
+                    "metrics"
+                ]["counters"]
+                assert counters.get("service.timeouts") == 1
+                assert counters.get("service.respawns") == 1
+                assert len(service.worker_pids) == 2
+                assert set(service.worker_pids) != spawned
+            finally:
+                service.drain()
+        assert (tmp_path / "markers" / "hang-2").exists()
+        assert service.store.get(record.job_id).result_json == direct.to_json()
+
+    def test_drain_reaps_every_owned_worker(self, tmp_path):
+        service = start_service(tmp_path)
+        try:
+            record, _ = service.submit({"scenario": "paper-baseline", "seeds": 2})
+            wait_for(
+                lambda: service.store.get(record.job_id).state == DONE,
+                timeout=120.0,
+            )
+            pids = service.worker_pids
+            assert len(pids) == 2
+        finally:
+            service.drain()
+        assert service.worker_pids == []
+        assert not any(running(pid) for pid in pids)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
+    def test_sigterm_service_leaves_no_child_processes(
+        self, tmp_path, cli_service
+    ):
+        process, url = cli_service(tmp_path / "svc", dict(os.environ))
+        client = ServiceClient(url)
+        job = client.submit({"scenario": "paper-baseline", "seeds": 2})
+        assert client.wait(job["job"], timeout=120.0)["state"] == "done"
+        children = children_of(process.pid)
+        assert len(children) >= 2  # the owned workers, at least
+        process.send_signal(signal.SIGTERM)
+        assert process.wait(timeout=60.0) == 0
+        wait_for(lambda: not any(running(pid) for pid in children), timeout=15.0)
 
 
 # ----------------------------------------------------------------------

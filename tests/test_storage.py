@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import errno
 import json
+import os
 import threading
 import time
 import urllib.error
@@ -35,6 +36,7 @@ import pytest
 from repro.cli import EXIT_STORAGE, main
 from repro.errors import StorageError
 from repro.experiments import (
+    FAULT_PLAN_ENV,
     FaultPlan,
     RetryPolicy,
     SweepCheckpoint,
@@ -86,7 +88,7 @@ def start_remote_service(tmp_path, **kwargs):
     kwargs.setdefault("shards_per_job", 2)
     kwargs.setdefault("poll_interval", 0.01)
     return SweepService(
-        tmp_path / "svc", port=0, remote=True, **kwargs
+        tmp_path / "svc", port=0, shard_workers=0, **kwargs
     ).start()
 
 
@@ -315,28 +317,30 @@ class TestCliStorageExit:
 # Service under disk chaos
 # ----------------------------------------------------------------------
 class TestServiceStorageChaos:
-    def test_torn_checkpoint_append_is_byte_identical(self, tmp_path, direct):
-        """A pool worker is killed mid-checkpoint-append (the SIGKILL
-        stand-in lands half a line and exits); the pool is respawned,
-        the welded append recovers, and the report is byte-identical."""
+    def test_torn_checkpoint_append_is_byte_identical(
+        self, tmp_path, direct, cli_service
+    ):
+        """The service is killed mid-checkpoint-append (the lease board
+        appends uploads in the service process; the SIGKILL stand-in
+        lands half a line and exits); a restart over the same data dir
+        re-queues the job, the welded append recovers, and the report
+        is byte-identical."""
         plan = FaultPlan(
             torn_writes=("sweep-",), marker_dir=str(tmp_path / "markers")
         )
-        with plan.activated():
-            service = start_service(tmp_path)
-            try:
-                record, created = service.submit(
-                    {"scenario": "paper-baseline", "seeds": SEEDS}
-                )
-                assert created
-                wait_for(
-                    lambda: service.store.get(record.job_id).state == DONE,
-                    timeout=120.0,
-                )
-            finally:
-                service.drain()
+        env = dict(os.environ, **{FAULT_PLAN_ENV: plan.to_env()})
+        first, url = cli_service(tmp_path / "svc", env, "--max-attempts", "3")
+        job = ServiceClient(url).submit(
+            {"scenario": "paper-baseline", "seeds": SEEDS}
+        )
+        assert first.wait(timeout=120.0) == 23  # died mid-append
         assert (tmp_path / "markers" / "torn-sweep-").exists()
-        assert service.store.get(record.job_id).result_json == direct.to_json()
+        second, url = cli_service(tmp_path / "svc", env, "--max-attempts", "3")
+        client = ServiceClient(url)
+        assert client.wait(job["job"], timeout=120.0)["state"] == "done"
+        assert client.result_text(job["job"]) == direct.to_json() + "\n"
+        second.terminate()
+        second.wait(timeout=30.0)
 
     def test_corrupt_checkpoint_line_recovers_byte_identical(
         self, tmp_path, direct
@@ -624,15 +628,22 @@ class TestAuth:
 # Satellite: the /workers fleet view
 # ----------------------------------------------------------------------
 class TestWorkersEndpoint:
-    def test_local_service_has_no_fleet(self, tmp_path, capsys):
+    def test_owned_workers_join_the_fleet(self, tmp_path, capsys):
         service = start_service(tmp_path)
         try:
-            assert ServiceClient(service.url).workers() == {
-                "remote": False,
-                "workers": [],
-            }
+            client = ServiceClient(service.url)
+            submitted = client.submit(
+                {"scenario": "paper-baseline", "seeds": SEEDS}
+            )
+            client.wait(submitted["job"], timeout=120.0)
+            owned = [
+                w for w in client.workers()["workers"]
+                if w["worker"].startswith("local-")
+            ]
+            assert owned  # the service's own workers lease like any other
+            assert sum(w["seeds_landed"] for w in owned) == SEEDS
             assert main(["service", "workers", "--url", service.url]) == 0
-            assert "not in remote mode" in capsys.readouterr().out
+            assert owned[0]["worker"] in capsys.readouterr().out
         finally:
             service.drain()
 
@@ -657,7 +668,6 @@ class TestWorkersEndpoint:
                 worker.request_stop()
                 thread.join(timeout=30.0)
             summary = client.workers()
-            assert summary["remote"] is True
             entry = {w["worker"]: w for w in summary["workers"]}["w-fleet"]
             assert entry["seeds_landed"] == SEEDS
             assert entry["claims"] >= 1

@@ -41,10 +41,10 @@ from repro.service import (
     QUEUED,
     RUNNING,
     JobStore,
-    RemoteShardScheduler,
     ServiceClient,
     ServiceError,
     ShardBoard,
+    ShardScheduler,
     ShardWorker,
     SweepService,
     TransportError,
@@ -79,7 +79,7 @@ def start_remote_service(tmp_path, **kwargs):
     kwargs.setdefault("shards_per_job", 2)
     kwargs.setdefault("poll_interval", 0.01)
     return SweepService(
-        tmp_path / "svc", port=0, remote=True, **kwargs
+        tmp_path / "svc", port=0, shard_workers=0, **kwargs
     ).start()
 
 
@@ -344,15 +344,15 @@ class TestWorkerTransport:
         assert len(sleeps) == 2  # attempts 1 and 2 backed off; 3rd raised
 
     def test_http_answers_are_never_retried(self, tmp_path):
-        service = SweepService(tmp_path / "svc", port=0).start()  # not remote
+        service = start_remote_service(tmp_path)
         try:
             sleeps = []
             transport = WorkerTransport(
                 service.url, timeout=5.0, retry=FAST_RETRY, sleep=sleeps.append
             )
             with pytest.raises(TransportError) as excinfo:
-                transport.post("/shards/claim", {"worker": "w"})
-            assert excinfo.value.status == 409  # non-remote service says so
+                transport.post("/shards/claim", {"worker": ""})
+            assert excinfo.value.status == 400  # a claim needs a worker id
             assert sleeps == []  # an answer is not an outage
         finally:
             service.drain()
@@ -639,7 +639,7 @@ class TestRemoteByteIdentity:
 class TestMaxJobs:
     def test_two_jobs_run_concurrently_and_both_finish_clean(self, tmp_path):
         service = SweepService(
-            tmp_path / "svc", port=0, remote=True, max_jobs=2,
+            tmp_path / "svc", port=0, shard_workers=0, max_jobs=2,
             retry=FAST_RETRY, shard_timeout=20.0, shards_per_job=2,
             poll_interval=0.01,
         ).start()
@@ -878,7 +878,7 @@ class TestRecoverEdgeCases:
 
 
 # ----------------------------------------------------------------------
-# The RemoteShardScheduler's own contract
+# The ShardScheduler over a board with no workers of its own
 # ----------------------------------------------------------------------
 class TestRemoteShardScheduler:
     def test_validates_parameters(self, tmp_path):
@@ -886,9 +886,9 @@ class TestRemoteShardScheduler:
 
         board = ShardBoard(SweepCheckpoint(tmp_path / "c"))
         with pytest.raises(ConfigurationError):
-            RemoteShardScheduler(tmp_path, board, shard_timeout=0.0)
+            ShardScheduler(tmp_path, board, shard_timeout=0.0)
         with pytest.raises(ConfigurationError):
-            RemoteShardScheduler(tmp_path, board, shards_per_job=0)
+            ShardScheduler(tmp_path, board, shards_per_job=0)
 
     def test_fully_checkpointed_job_merges_without_workers(
         self, tmp_path, direct
@@ -903,6 +903,6 @@ class TestRemoteShardScheduler:
         for seed in range(SEEDS):
             checkpoint.append(key, seed, runner.run_once(config, seed))
         board = ShardBoard(checkpoint)
-        scheduler = RemoteShardScheduler(tmp_path, board, retry=FAST_RETRY)
+        scheduler = ShardScheduler(tmp_path, board, retry=FAST_RETRY)
         outcome = scheduler.run_job(spec, repeats=SEEDS)
         assert outcome.to_json() == direct.to_json()
