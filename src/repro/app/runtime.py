@@ -43,18 +43,21 @@ from .dynamics import (
     SourceTracker,
     lower_perturbations,
 )
-from .fast_kernel import fast_kernel_supported, run_fast_kernel
+from .fast_kernel import (
+    build_slot_timeline,
+    fast_kernel_supported,
+    fast_lane_compilable,
+    run_fast_kernel,
+)
 
 #: Kernel identifiers for :func:`run_operational_phase`.
 FAST_KERNEL = "fast"
-OBJECT_KERNEL = "fast-object"
 LEGACY_KERNEL = "legacy"
-KERNELS = (FAST_KERNEL, OBJECT_KERNEL, LEGACY_KERNEL)
+KERNELS = (FAST_KERNEL, LEGACY_KERNEL)
 
-#: The kernel used when a call does not choose one.  All kernels are
-#: bit-identical (differentially tested), so the fastest is the
-#: default; ``fast-object`` (the flat timeline without the forwarding
-#: tables) and ``legacy`` (the event heap) remain selectable so a
+#: The kernel used when a call does not choose one.  Both kernels are
+#: bit-identical (differentially tested), so the faster is the default;
+#: ``legacy`` (the event heap, the reference) remains selectable so a
 #: regression can be bisected to a layer.
 DEFAULT_KERNEL = FAST_KERNEL
 
@@ -273,17 +276,15 @@ def run_operational_phase(
         applied at period boundaries before any event of the period.
         Perturbing the sink or a source-pool node is rejected.
     kernel:
-        ``"fast"`` (flat slot timeline + the table-driven message-path
-        fast lane, the default), ``"fast-object"`` (the flat timeline
-        with object-driven dispatch — the ``--no-fast-lane`` bisection
-        point) or ``"legacy"`` (the event-heap TDMA driver).  All are
-        bit-identical — same results, same RNG stream, same trace — so
-        the choice is a performance/bisection knob, not a semantic one.
-        ``None`` means :data:`DEFAULT_KERNEL`.  Frames the fast kernel
-        cannot honour (slot shorter than the propagation delay) fall
-        back to the legacy engine automatically, and runs the fast lane
-        cannot compile (process subclasses, retained per-message
-        traces) fall back to the object-driven loop.
+        ``"fast"`` (the table-driven message lane over a flat slot
+        timeline, the default) or ``"legacy"`` (the event-heap TDMA
+        driver).  Both are bit-identical — same results, same RNG
+        stream, same trace — so the choice is a performance/bisection
+        knob, not a semantic one.  ``None`` means
+        :data:`DEFAULT_KERNEL`.  Runs the fast kernel cannot prove
+        equivalent (slots shorter than the propagation delay, process
+        subclasses, retained per-message traces) run on the legacy
+        engine.
     trace_out:
         Optional list the run's :class:`~repro.simulator.TraceRecorder`
         is appended to, for tests and tooling that need the trace of a
@@ -380,35 +381,31 @@ def run_operational_phase(
             sim.radio.detach(node)
             proc.sleep()
 
-    use_fast = resolved_kernel in (
-        FAST_KERNEL,
-        OBJECT_KERNEL,
-    ) and fast_kernel_supported(frame, sim.radio.propagation_delay)
+    for period, action, nodes in lower_perturbations(perturbations, periods_budget):
+        sim.schedule_at(frame.period_start(period), _apply_step, (action, nodes))
+
+    # The one engine choice: the table lane when it can prove the run
+    # equivalent, the legacy event heap (the reference) otherwise.
+    timeline = None
+    if resolved_kernel == FAST_KERNEL and fast_kernel_supported(
+        frame, sim.radio.propagation_delay
+    ):
+        timeline = build_slot_timeline(frame, processes)
+        if not fast_lane_compilable(sim, processes, agent, timeline):
+            timeline = None
     tracer = active_tracer()
     phase_span = None
     if tracer is not None:
         phase_span = tracer.begin(
             "operational.phase",
             kernel=resolved_kernel,
-            fast=use_fast,
+            fast=timeline is not None,
             seed=seed,
         )
     try:
-        if use_fast:
-            for period, action, nodes in lower_perturbations(
-                perturbations, periods_budget
-            ):
-                sim.schedule_at(
-                    frame.period_start(period), _apply_step, (action, nodes)
-                )
+        if timeline is not None:
             current_period = run_fast_kernel(
-                sim,
-                frame,
-                periods_budget,
-                processes,
-                agent,
-                tracker,
-                use_tables=resolved_kernel == FAST_KERNEL,
+                sim, frame, periods_budget, processes, agent, tracker, timeline
             )
         else:
             driver = TdmaDriver(sim, frame)
@@ -420,12 +417,6 @@ def run_operational_phase(
             # tracker advance (see _SourcePlanClient).
             driver.register(_AttackerTdmaAdapter(-2, agent), None)
             driver.register(_SourcePlanClient(-1, tracker, agent), None)
-            for period, action, nodes in lower_perturbations(
-                perturbations, periods_budget
-            ):
-                sim.schedule_at(
-                    frame.period_start(period), _apply_step, (action, nodes)
-                )
             driver.start(stop_after=periods_budget)
             sim.run(until=periods_budget * frame.period_length + 1e-9)
             current_period = driver.current_period

@@ -74,18 +74,10 @@ def _cmd_table1(_: argparse.Namespace) -> int:
 
 
 def _kernel_of(args: argparse.Namespace) -> Optional[str]:
-    """The kernel override implied by ``--legacy-kernel``/``--no-fast-lane``.
-
-    ``--legacy-kernel`` selects the event-heap engine; ``--no-fast-lane``
-    keeps the fast kernel but disables its table-driven message lane
-    (the ``fast-object`` kernel) — the bisection point between the flat
-    timeline and the forwarding tables.
-    """
-    if getattr(args, "legacy_kernel", False):
-        return "legacy"
-    if getattr(args, "no_fast_lane", False):
-        return "fast-object"
-    return None
+    """The kernel override implied by ``--legacy-kernel``: the
+    event-heap engine, the reference the fast kernel is bisected
+    against."""
+    return "legacy" if getattr(args, "legacy_kernel", False) else None
 
 
 def _setup_kernel_of(args: argparse.Namespace) -> Optional[str]:
@@ -652,10 +644,6 @@ def build_parser() -> argparse.ArgumentParser:
         "disable the content-addressed schedule cache "
         "(bit-identical; for bisection)"
     )
-    no_fast_lane_help = (
-        "keep the fast kernel but disable its table-driven message-path "
-        "fast lane (bit-identical; for bisection)"
-    )
     legacy_setup_kernel_help = (
         "build distributed-setup schedules on the legacy event-heap "
         "engine instead of the flat-round setup kernel "
@@ -720,7 +708,6 @@ def build_parser() -> argparse.ArgumentParser:
     fig.add_argument("--noise", choices=("casino", "ideal"), default="casino")
     fig.add_argument("--workers", type=workers_argument, default=None, help=workers_help)
     fig.add_argument("--legacy-kernel", action="store_true", help=legacy_kernel_help)
-    fig.add_argument("--no-fast-lane", action="store_true", help=no_fast_lane_help)
     fig.add_argument(
         "--legacy-setup-kernel", action="store_true", help=legacy_setup_kernel_help
     )
@@ -795,7 +782,6 @@ def build_parser() -> argparse.ArgumentParser:
         "would fall back to the serial engine",
     )
     scn_run.add_argument("--legacy-kernel", action="store_true", help=legacy_kernel_help)
-    scn_run.add_argument("--no-fast-lane", action="store_true", help=no_fast_lane_help)
     scn_run.add_argument(
         "--legacy-setup-kernel", action="store_true", help=legacy_setup_kernel_help
     )
@@ -840,7 +826,6 @@ def build_parser() -> argparse.ArgumentParser:
         "would fall back to the serial engine",
     )
     scn_cmp.add_argument("--legacy-kernel", action="store_true", help=legacy_kernel_help)
-    scn_cmp.add_argument("--no-fast-lane", action="store_true", help=no_fast_lane_help)
     scn_cmp.add_argument(
         "--legacy-setup-kernel", action="store_true", help=legacy_setup_kernel_help
     )

@@ -332,9 +332,12 @@ class OwnedWorkers:
     the service can see and kill its own processes:
 
     * a worker that has exited is charged ``"crash"`` on every lease it
-      held and respawned;
+      held and respawned — after its slot's n-th consecutive exit, only
+      once ``RetryPolicy().delay(n, slot)`` has passed, so a worker that
+      dies at start-up is not respawned on every tick; n resets once a
+      worker in the slot outlives that delay;
     * a worker holding a lease that landed no seed for ``shard_timeout``
-      seconds is killed, charged ``"timeout"`` and respawned.
+      seconds is killed, charged ``"timeout"`` and respawned at once.
     """
 
     def __init__(
@@ -354,6 +357,11 @@ class OwnedWorkers:
         self._processes: List[Optional[multiprocessing.process.BaseProcess]] = [
             None
         ] * count
+        #: per slot: consecutive exits, and the monotonic time of the
+        #: last exit (while backing off) or spawn (while running).
+        self._exits = [0] * count
+        self._since = [0.0] * count
+        self._backoff = RetryPolicy()
         self._url: Optional[str] = None
         self._lock = threading.Lock()
         board.owned.update(self._ids)
@@ -387,20 +395,37 @@ class OwnedWorkers:
                 self._reap()
 
     def _reap(self) -> None:
+        now = time.monotonic()
         for slot, worker in enumerate(self._ids):
             process = self._processes[slot]
-            if process.is_alive():
+            exits = self._exits[slot]
+            if process is None:
+                if now < self._since[slot] + self._backoff.delay(exits, slot):
+                    continue
+            elif process.is_alive():
+                if exits and now > self._since[slot] + self._backoff.delay(
+                    exits, slot
+                ):
+                    self._exits[slot] = 0
                 if not self._board.stalled(worker, self._timeout):
                     continue
                 process.kill()
                 process.join()
-                kind, error = "timeout", f"no seed landed in {self._timeout}s"
+                self._board.charge(
+                    worker, "timeout", f"no seed landed in {self._timeout}s"
+                )
             else:
                 process.join()
-                kind, error = "crash", f"worker exited with code {process.exitcode}"
-            self._board.charge(worker, kind, error)
+                self._board.charge(
+                    worker, "crash", f"worker exited with code {process.exitcode}"
+                )
+                self._processes[slot] = None
+                self._exits[slot] = exits + 1
+                self._since[slot] = now
+                continue
             default_registry().inc("service.respawns")
             self._spawn(slot)
+            self._since[slot] = now
 
     def stop(self) -> None:
         """Drain every worker (SIGTERM: finish the seed in flight,

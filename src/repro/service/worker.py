@@ -207,9 +207,10 @@ class ShardWorker:
         self._idle_exit = idle_exit
         self._batch = max(1, int(upload_batch))
         self._stop = threading.Event()
-        # job_id -> (runner, config): lowering a job is expensive next
-        # to one seed, and a worker usually drains many shards of the
-        # same job — cache per job, keyed by the service's job id.
+        # job_id -> (runner, config) of the last job served: lowering a
+        # job is expensive next to one seed, and a worker usually drains
+        # many shards of the same job in a row.  One entry, so a
+        # long-lived worker does not grow with every job it serves.
         self._contexts: Dict[str, Tuple[ExperimentRunner, object]] = {}
 
     def request_stop(self) -> None:
@@ -272,7 +273,7 @@ class ShardWorker:
                 claim.get("setup_kernel"),
             )
             context = (ExperimentRunner(topology), config)
-            self._contexts[job_id] = context
+            self._contexts = {job_id: context}
         return context
 
     def _run_shard(self, claim: Dict) -> int:

@@ -1,13 +1,14 @@
 """Differential tests for the operational-phase fast kernel.
 
-The contract: the fast kernel — with or without its table-driven
-message-path fast lane — is *bit-identical* to the legacy event-heap
-engine: same :class:`OperationalResult`, same trace counters, same
-retained records, same RNG consumption, for every workload the
-repository can express.  Every registered scenario is driven through
-all three kernels here; the serial/parallel identity of the fast
-kernel is additionally covered by ``tests/test_scenarios.py`` (the
-fast kernel is the default, so those sweeps already exercise it).
+The contract: the fast kernel (the table-driven message lane) is
+*bit-identical* to the legacy event-heap engine: same
+:class:`OperationalResult`, same trace counters, same retained
+records, same RNG consumption, for every workload the repository can
+express.  Runs the lane cannot prove equivalent are routed to the
+legacy engine.  Every registered scenario is driven through both
+kernels here; the serial/parallel identity of the fast kernel is
+additionally covered by ``tests/test_scenarios.py`` (the fast kernel
+is the default, so those sweeps already exercise it).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import pytest
 from repro.app import (
     FAST_KERNEL,
     LEGACY_KERNEL,
-    OBJECT_KERNEL,
     ConvergecastNodeProcess,
     DutyCycle,
     NodeDeath,
@@ -42,7 +42,23 @@ from repro.simulator import CasinoLabNoise
 DIFF_SEEDS = 2
 
 #: Kernel order for differentials: the reference engine first.
-ALL_KERNELS = (LEGACY_KERNEL, OBJECT_KERNEL, FAST_KERNEL)
+ALL_KERNELS = (LEGACY_KERNEL, FAST_KERNEL)
+
+
+@pytest.fixture
+def legacy_starts(monkeypatch):
+    """Counts runs routed to the legacy engine (``TdmaDriver.start``)."""
+    from repro.mac import TdmaDriver
+
+    calls = []
+    real = TdmaDriver.start
+
+    def spy(self, *args, **kwargs):
+        calls.append(True)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(TdmaDriver, "start", spy)
+    return calls
 
 
 def _attacker_spec(r, h, m, decision):
@@ -54,6 +70,17 @@ def _attacker_spec(r, h, m, decision):
     return AttackerSpec(
         messages_per_move=r, history_size=h, moves_per_period=m, decision=chooser
     )
+
+
+def _audible_slot_sharing(topology, schedule):
+    """``schedule`` with two adjacent non-sink nodes sharing a slot —
+    impossible under Def. 1, expressible by hand."""
+    slots = schedule.slots()
+    sink = topology.sink
+    n1 = [n for n in topology.neighbours(sink) if n != sink][0]
+    n2 = [m for m in topology.neighbours(n1) if m != sink][0]
+    slots[n2] = slots[n1]
+    return schedule.with_slots(slots)
 
 
 def _run_all(topology, schedule, *, seed, trace_kinds="default", **kwargs):
@@ -89,7 +116,7 @@ class TestKernelEquivalence:
     @pytest.mark.parametrize("name", sorted(scenario_names()))
     def test_every_registered_scenario_is_bit_identical(self, name):
         """Results AND trace counters agree, per scenario, per seed,
-        across legacy / fast-object / fast (table lane) kernels."""
+        across the legacy and fast (table lane) kernels."""
         spec = get_scenario(name)
         topology = spec.build_topology()
         config = spec.to_config(repeats=DIFF_SEEDS)
@@ -111,10 +138,10 @@ class TestKernelEquivalence:
             )
             _assert_identical(outcomes, traces)
 
-    def test_full_trace_records_are_identical(self, grid7):
-        """With every kind retained, the record streams match too (the
-        fast lane declines retained per-message traces and the object
-        path must reproduce the exact record stream)."""
+    def test_full_trace_records_are_identical(self, grid7, legacy_starts):
+        """With every kind retained, the fast kernel declines the run
+        (the lane never builds per-message records) and routes it to
+        the legacy engine, so the record streams match too."""
         schedule = centralized_das_schedule(grid7, seed=3)
         outcomes, traces = _run_all(
             grid7,
@@ -123,6 +150,7 @@ class TestKernelEquivalence:
             noise=CasinoLabNoise(),
             trace_kinds=None,
         )
+        assert len(legacy_starts) == len(ALL_KERNELS)
         _assert_identical(outcomes, traces)
         for trace in traces[1:]:
             assert trace.records == traces[0].records
@@ -146,7 +174,7 @@ class TestKernelEquivalence:
 class TestFastLaneDynamics:
     """The fast lane × workload-dynamics interplay: perturbations must
     invalidate/patch the forwarding tables mid-run and stay bit-identical
-    to the object path and the legacy heap."""
+    to the legacy heap."""
 
     def _grid_nodes(self, topology):
         """A few perturbable nodes (not sink, not source)."""
@@ -324,45 +352,53 @@ class TestFastLaneCompilability:
     def test_audible_slot_sharing_is_not_compilable(self, grid5, grid5_schedule):
         """Two adjacent senders in one slot group (impossible under
         Def. 1, but expressible via a hand-built schedule) must force
-        the object path: live-set delivery would skip the emit-time
+        the legacy engine: live-set delivery would skip the emit-time
         snapshot the legacy semantics require."""
         from repro.app import OPERATIONAL_TRACE_KINDS
 
-        slots = grid5_schedule.slots()
-        a = grid5.sink
-        neighbours = [n for n in grid5.neighbours(a) if n != grid5.sink]
-        n1 = neighbours[0]
-        n2 = [m for m in grid5.neighbours(n1) if m not in (a, grid5.sink)][0]
-        slots[n2] = slots[n1]  # adjacent nodes, same slot
-        shared = grid5_schedule.with_slots(slots)
+        shared = _audible_slot_sharing(grid5, grid5_schedule)
         sim, processes, agent, timeline = self._setup(
             grid5, shared, trace_kinds=OPERATIONAL_TRACE_KINDS
         )
         assert not fast_lane_compilable(sim, processes, agent, timeline)
 
-    def test_default_run_uses_the_table_lane(self, grid5, grid5_schedule, monkeypatch):
+    def test_default_run_uses_the_table_lane(
+        self, grid5, grid5_schedule, monkeypatch, legacy_starts
+    ):
         """The default kernel actually engages the lane (not a silent
         permanent fallback)."""
-        import repro.app.fast_kernel as fk
+        import repro.app.runtime as runtime
 
         calls = []
-        real = fk._run_table_lane
+        real = runtime.run_fast_kernel
 
         def spy(*args, **kwargs):
             calls.append(True)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(fk, "_run_table_lane", spy)
+        monkeypatch.setattr(runtime, "run_fast_kernel", spy)
         run_operational_phase(grid5, grid5_schedule, seed=0)
         assert calls
+        assert not legacy_starts
 
 
 class TestKernelSelection:
     def test_invalid_kernel_rejected(self, grid5, grid5_schedule):
-        with pytest.raises(ConfigurationError, match="kernel"):
-            run_operational_phase(grid5, grid5_schedule, seed=0, kernel="warp")
+        """Unknown names — including the retired ``fast-object`` — are
+        configuration errors at both entry points."""
+        from repro.experiments import ExperimentConfig
 
-    def test_unsupported_frame_falls_back_to_legacy(self, grid5, grid5_schedule):
+        for kernel in ("warp", "fast-object"):
+            with pytest.raises(ConfigurationError, match="kernel"):
+                run_operational_phase(
+                    grid5, grid5_schedule, seed=0, kernel=kernel
+                )
+            with pytest.raises(ConfigurationError, match="kernel"):
+                ExperimentConfig(kernel=kernel)
+
+    def test_unsupported_frame_falls_back_to_legacy(
+        self, grid5, grid5_schedule, legacy_starts
+    ):
         """A slot shorter than the propagation delay forces the legacy
         engine; the outcome still matches an explicit legacy run."""
         frame = TdmaFrame(num_slots=200, slot_duration=5e-5)
@@ -370,11 +406,25 @@ class TestKernelSelection:
         legacy = run_operational_phase(
             grid5, grid5_schedule, seed=1, frame=frame, kernel=LEGACY_KERNEL
         )
-        for kernel in (FAST_KERNEL, OBJECT_KERNEL):
-            fast = run_operational_phase(
-                grid5, grid5_schedule, seed=1, frame=frame, kernel=kernel
+        fast = run_operational_phase(
+            grid5, grid5_schedule, seed=1, frame=frame, kernel=FAST_KERNEL
+        )
+        assert len(legacy_starts) == 2
+        assert fast == legacy
+
+    def test_audible_slot_sharing_runs_on_legacy(
+        self, grid5, grid5_schedule, legacy_starts
+    ):
+        """A schedule the lane cannot compile routes a ``fast`` run to
+        the legacy engine, with results and counters equal to an
+        explicit legacy run."""
+        shared = _audible_slot_sharing(grid5, grid5_schedule)
+        for seed in range(DIFF_SEEDS):
+            outcomes, traces = _run_all(
+                grid5, shared, seed=seed, noise=CasinoLabNoise()
             )
-            assert fast == legacy
+            _assert_identical(outcomes, traces)
+        assert len(legacy_starts) == DIFF_SEEDS * len(ALL_KERNELS)
 
     def test_supported_for_paper_frame(self):
         assert fast_kernel_supported(TdmaFrame(), 1e-4)

@@ -293,6 +293,7 @@ class TestServiceHttp:
                 {"scenario": "paper-baseline", "seeds": 0},
                 {"spec": "not-an-object"},
                 {"spec": {"name": "x", "algorithm": "rot13"}},
+                {"scenario": "paper-baseline", "kernel": "fast-object"},
             ]
             for payload in cases:
                 with pytest.raises(ServiceError) as excinfo:
@@ -481,6 +482,72 @@ class TestOwnedWorkers:
             service.drain()
         assert service.worker_pids == []
         assert not any(running(pid) for pid in pids)
+
+    def test_start_up_deaths_back_off(self, monkeypatch):
+        """A worker that dies at start-up is respawned only after
+        ``RetryPolicy().delay(n, slot)`` following its n-th consecutive
+        exit, however often the dispatcher ticks; n resets once a
+        worker in the slot outlives that delay."""
+        from types import SimpleNamespace
+
+        from repro.service import scheduler
+
+        clock = [1000.0]
+        monkeypatch.setattr(
+            scheduler, "time", SimpleNamespace(monotonic=lambda: clock[0])
+        )
+
+        class FakeProcess:
+            pid = 0
+            exitcode = 1
+
+            def __init__(self):
+                self.alive = False
+
+            def is_alive(self):
+                return self.alive
+
+            def join(self, timeout=None):
+                pass
+
+        spawned = []
+
+        def spawn(self, slot):
+            spawned.append(FakeProcess())
+            self._processes[slot] = spawned[-1]
+
+        monkeypatch.setattr(scheduler.OwnedWorkers, "_spawn", spawn)
+        board = SimpleNamespace(
+            owned=set(), charges=[], stalled=lambda worker, timeout: False,
+        )
+        board.charge = lambda worker, kind, error: board.charges.append(kind)
+        workers = scheduler.OwnedWorkers(board, count=1, shard_timeout=1.0)
+        workers.start("http://127.0.0.1:9")
+        policy = RetryPolicy()
+
+        def ticks_until_respawn(n):
+            """The first tick charges the n-th exit; ticks within the
+            next delay spawn nothing, the one after it exactly one."""
+            before, start = len(spawned), clock[0]
+            delay = policy.delay(n, 0)
+            for step in range(20):
+                clock[0] = start + delay * step / 20
+                workers.supervise()
+            assert len(spawned) == before
+            clock[0] = start + delay
+            workers.supervise()
+            assert len(spawned) == before + 1
+
+        for n in (1, 2, 3):
+            ticks_until_respawn(n)
+        assert board.charges == ["crash"] * 3
+
+        # A worker that stays up longer than its back-off resets n.
+        spawned[-1].alive = True
+        clock[0] += policy.delay(4, 0) + 1.0
+        workers.supervise()
+        spawned[-1].alive = False
+        ticks_until_respawn(1)
 
     @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs /proc")
     def test_sigterm_service_leaves_no_child_processes(

@@ -540,6 +540,35 @@ class TestFsck:
 
         assert JobStore(data_dir / "jobs.sqlite").get(job_id).state == QUEUED
 
+    def test_unloadable_spec_is_reported_never_repaired(self, tmp_path):
+        """A row whose kernel was retired (``fast-object``) no longer
+        lowers.  ``POST /jobs`` refuses that kernel, so the row goes in
+        through the store, which does not validate.  fsck reports it
+        and ``repair`` leaves it exactly as it was (report-only)."""
+        from repro.scenarios import get_scenario
+        from repro.service import JobRecord, JobStore, job_key
+
+        spec = get_scenario("paper-baseline")
+        store = JobStore(tmp_path / "jobs.sqlite")
+        record, _ = store.submit(
+            JobRecord(
+                job_id=job_key(spec, 2, 0, kernel="fast-object"),
+                spec_json=spec.to_json(indent=None),
+                repeats=2,
+                base_seed=0,
+                kernel="fast-object",
+                setup_kernel=None,
+                state=QUEUED,
+            )
+        )
+        for repair in (False, True):
+            report = fsck_data_dir(tmp_path, repair=repair)
+            assert [(f["kind"], f["subject"]) for f in report["findings"]] == [
+                ("unloadable_spec", record.job_id)
+            ]
+            assert report["repaired"] == 0
+            assert store.get(record.job_id) == record
+
     def test_cli_exit_codes(self, tmp_path, capsys):
         # Missing dir: usage error.
         assert main(

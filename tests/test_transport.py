@@ -906,3 +906,24 @@ class TestRemoteShardScheduler:
         scheduler = ShardScheduler(tmp_path, board, retry=FAST_RETRY)
         outcome = scheduler.run_job(spec, repeats=SEEDS)
         assert outcome.to_json() == direct.to_json()
+
+
+class TestShardWorkerContext:
+    def test_worker_keeps_only_the_last_jobs_context(self):
+        """Lowered job contexts are a one-entry cache: a worker that has
+        served shards of three jobs holds one, and a repeat claim of
+        the current job reuses it."""
+        spec_json = get_scenario("paper-baseline").to_json(indent=None)
+        worker = ShardWorker("http://127.0.0.1:9", worker_id="cache-probe")
+        contexts = []
+        for base_seed in range(3):
+            claim = {
+                "job": f"job-{base_seed}",
+                "spec": spec_json,
+                "repeats": 2,
+                "base_seed": base_seed,
+            }
+            contexts.append(worker._context(claim))
+            assert worker._context(claim) is contexts[-1]
+        assert list(worker._contexts) == ["job-2"]
+        assert worker._contexts["job-2"] is contexts[-1]
