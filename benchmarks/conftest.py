@@ -2,9 +2,10 @@
 
 Each benchmark module regenerates one table or figure of the paper (see
 the experiment index in DESIGN.md).  Repeats are reduced relative to
-the paper to keep the suite's wall-clock reasonable; EXPERIMENTS.md
-records full-scale numbers.  Run with ``pytest benchmarks/
---benchmark-only``; add ``-s`` to see the regenerated tables inline.
+the paper to keep the suite's wall-clock reasonable; the report that
+``scripts/generate_experiments.py`` prints has full-scale numbers.  Run
+with ``pytest benchmarks/ --benchmark-only``; add ``-s`` to see the
+regenerated tables inline.
 """
 
 from __future__ import annotations
@@ -24,49 +25,14 @@ BENCH_SEEDS = (0, 1, 2)
 ARTIFACTS_PATH = Path(__file__).resolve().parent.parent / "benchmark_artifacts.txt"
 
 
-def _load_artifact_sections():
-    """The shared section grammar of the artefact file (one parser for
-    this suite and ``scripts/bench.py --profile``, so the two writers
-    cannot drift and clobber each other's sections)."""
-    import importlib.util
-
-    path = (
-        Path(__file__).resolve().parent.parent / "scripts" / "artifact_sections.py"
-    )
-    spec = importlib.util.spec_from_file_location("artifact_sections", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-_artifact_sections = _load_artifact_sections()
-
-
-def _preserved_sections(text: str) -> str:
-    """The parts of the artefact file other writers own.
-
-    ``scripts/bench.py --profile`` appends its cProfile hotspot tables
-    under ``cProfile hotspots`` headers; those are kept verbatim while
-    this suite's own tables are dropped for regeneration (truncating
-    the whole file used to silently discard the profile tables).
-    """
-    return _artifact_sections.filter_sections(
-        text,
-        lambda title: title.startswith(_artifact_sections.PROFILE_SECTION_PREFIX),
-        keep_preamble=False,
-    )
-
-
 @pytest.fixture(scope="session", autouse=True)
 def _fresh_artifacts_file():
-    existing = ARTIFACTS_PATH.read_text() if ARTIFACTS_PATH.exists() else ""
-    ARTIFACTS_PATH.write_text(_preserved_sections(existing))
-    yield
+    ARTIFACTS_PATH.write_text("")
 
 
 def emit(title: str, body: str) -> None:
     """Print a regenerated artefact and persist it to the artefact file."""
-    bar = _artifact_sections.BAR
+    bar = "=" * 64
     text = f"\n{bar}\n{title}\n{bar}\n{body}\n"
     print(text)
     with ARTIFACTS_PATH.open("a") as handle:

@@ -1,8 +1,8 @@
 #!/usr/bin/env python
-"""Regenerate every paper artefact at full scale for EXPERIMENTS.md.
+"""Regenerate every paper artefact at full scale.
 
-Writes a plain-text report to stdout; the repository's EXPERIMENTS.md
-records the paper-vs-measured comparison derived from it.
+Writes a plain-text report to stdout: Table I, both Figure 5 panels,
+the verifier-based estimates and the distributed setup overhead.
 
 ``--workers N`` fans the seed sweeps out over N processes (0 = one per
 CPU); results are identical to a serial run, only faster.

@@ -15,8 +15,9 @@ Runs the full robustness story against *real processes*:
 5. poll to completion and diff the served report against a direct
    in-process ``ScenarioRunner`` run — the bytes must be identical.
 
-Exit code 0 iff every check passes.  No timing, no BENCH json: this is
-a correctness drill, shaped like ``bench.py --chaos`` but one layer up.
+Exit code 0 iff every check passes.  No timing: this is a correctness
+drill, shaped like the supervised-sweep chaos tests
+(``tests/test_resilience.py``) but one layer up.
 """
 
 from __future__ import annotations

@@ -12,8 +12,9 @@ Usage (installed as ``repro-slp-das`` or via ``python -m repro.cli``)::
     repro-slp-das scenario compare paper-baseline mobile-source
 
 Every subcommand prints the same rows/series the paper reports, so the
-EXPERIMENTS.md numbers can be re-derived from a shell; the ``scenario``
-family sweeps the declarative workloads of :mod:`repro.scenarios`.
+numbers in the report ``scripts/generate_experiments.py`` prints can be
+re-derived from a shell; the ``scenario`` family sweeps the declarative
+workloads of :mod:`repro.scenarios`.
 """
 
 from __future__ import annotations

@@ -27,8 +27,9 @@ from .parallel import ParallelExperimentRunner, resolve_workers
 from .resilience import FailedRun, SweepCheckpoint
 from .runner import PROTECTIONLESS, SLP, ExperimentConfig, ExperimentRunner
 
-#: Paper reference values read off Figure 5 (approximate, for the
-#: paper-vs-measured table in EXPERIMENTS.md, not for assertions).
+#: Paper reference values read off Figure 5 (approximate, to compare
+#: with the capture ratios in the report that
+#: ``scripts/generate_experiments.py`` prints, not for assertions).
 PAPER_FIGURE5_REFERENCE = {
     3: {11: (0.32, 0.16), 15: (0.29, 0.15), 21: (0.18, 0.09)},
     5: {11: (0.32, 0.15), 15: (0.29, 0.14), 21: (0.18, 0.10)},

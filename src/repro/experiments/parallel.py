@@ -63,9 +63,9 @@ def default_workers() -> int:
 
 #: Dispatch threshold for :func:`plan_workers`: a sweep whose total work
 #: (``repeats × nodes``) falls below this is cheaper to run serially
-#: than to pickle, ship and gather across a pool.  Calibrated on the
-#: tracked bench: the quick-mode scenario sweeps (4 × 121 node-runs)
-#: sit below it, the full sweeps (20-30 × 121+) above.
+#: than to pickle, ship and gather across a pool.  Calibrated on
+#: scenario sweeps: 4-seed sweeps of an 11×11 grid (4 × 121 node-runs)
+#: sit below it, 20-30-seed sweeps (20-30 × 121+) above.
 MIN_NODE_RUNS_FOR_POOL = 1000
 
 
@@ -77,9 +77,9 @@ def plan_workers(
 ) -> int:
     """Resolve a requested worker count into an *effective* one.
 
-    Two situations make a process pool a net loss, both observed on the
-    tracked bench (``scenario_churn`` ran at 0.57× the serial speed with
-    4 workers on a 1-core container):
+    Two situations make a process pool a net loss, both measured on a
+    scenario sweep that ran at 0.57× the serial speed with 4 workers on
+    a 1-core container:
 
     * more workers than usable cores — the pool adds pickling and
       scheduling overhead while the extra processes just time-slice one

@@ -11,8 +11,8 @@ aggregation).
 Determinism contract: a scenario swept with ``workers=N`` produces the
 same per-run results, the same aggregate statistics and — because
 :meth:`ScenarioOutcome.to_json` contains no wall-clock data — the very
-same bytes of JSON as the serial sweep.  The test suite and
-``scripts/bench.py`` both enforce this.
+same bytes of JSON as the serial sweep (``tests/test_scenarios.py``
+enforces this).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from ..experiments import (
     GuardReport,
     SweepCheckpoint,
     make_runner,
-    plan_workers,
 )
 from ..metrics import (
     CaptureStats,
@@ -237,26 +236,6 @@ class ScenarioRunner:
     def workers(self) -> Optional[int]:
         """The configured worker count (CLI convention)."""
         return self._workers
-
-    def effective_workers(
-        self,
-        scenario: Union[str, ScenarioSpec],
-        seeds: Optional[int] = None,
-    ) -> int:
-        """The worker count :meth:`run` will actually use for a sweep
-        (``1`` = serial): the configured request resolved through the
-        worker policy with this scenario's size and repeat count — the
-        same call :meth:`run` makes, so the answer cannot drift from
-        the engine choice (the bench records it as ``workers_effective``).
-        """
-        spec = get_scenario(scenario) if isinstance(scenario, str) else scenario
-        config = spec.to_config(repeats=seeds)
-        return plan_workers(
-            self._workers,
-            repeats=config.repeats,
-            topology=spec.build_topology(),
-            force_parallel=self._force_parallel,
-        )
 
     def run(
         self,

@@ -57,6 +57,25 @@ NOISES = {
     "casino": lambda: CasinoLabNoise(),
 }
 
+#: The DAS differential's (topology, noise, config, seeds) cells: every
+#: noise on every small topology at the trimmed config, plus the paper's
+#: 15×15 grid at 20 setup rounds, casino and ideal, on one seed (the
+#: legacy heap is the costly side there).
+DAS_CELLS = [
+    pytest.param(TOPOLOGIES[topo], NOISES[noise], DAS_CFG, SEEDS, id=f"{noise}-{topo}")
+    for noise in sorted(NOISES)
+    for topo in sorted(TOPOLOGIES)
+] + [
+    pytest.param(
+        lambda: GridTopology(15),
+        NOISES[noise],
+        DasProtocolConfig(setup_periods=20),
+        (0,),
+        id=f"{noise}-grid15",
+    )
+    for noise in ("casino", "ideal")
+]
+
 COUNTED_KINDS = (
     trace_kinds.SEND,
     trace_kinds.DELIVER,
@@ -110,22 +129,19 @@ def _assert_identical(fast, legacy, attrs=DAS_ATTRS):
 
 
 class TestDasDifferential:
-    @pytest.mark.parametrize("topo_name", sorted(TOPOLOGIES))
-    @pytest.mark.parametrize("noise_name", sorted(NOISES))
-    def test_fast_matches_legacy(self, topo_name, noise_name):
-        make_topo = TOPOLOGIES[topo_name]
-        make_noise = NOISES[noise_name]
-        for seed in SEEDS:
+    @pytest.mark.parametrize("make_topo, make_noise, config, seeds", DAS_CELLS)
+    def test_fast_matches_legacy(self, make_topo, make_noise, config, seeds):
+        for seed in seeds:
             fast = run_das_setup(
                 make_topo(),
-                config=DAS_CFG,
+                config=config,
                 seed=seed,
                 noise=make_noise(),
                 setup_kernel="fast",
             )
             legacy = run_das_setup(
                 make_topo(),
-                config=DAS_CFG,
+                config=config,
                 seed=seed,
                 noise=make_noise(),
                 setup_kernel="legacy",

@@ -94,6 +94,7 @@ class TestEndToEnd:
         # At this deliberately tiny scale (5x5, 35-round setup) the
         # refinement's update disseminations weigh relatively heavily;
         # at the paper's scale (MSP = 80, 11x11) the measured overhead
-        # is under 10% (see EXPERIMENTS.md).  Guard the order of
+        # is under 10% (see the setup-overhead section of the report
+        # scripts/generate_experiments.py prints).  Guard the order of
         # magnitude here, not the paper-scale figure.
         assert slp_energy.overhead_versus(base_energy) < 0.5

@@ -88,8 +88,8 @@ class TestMakeRunner:
 
 class TestWorkerPolicy:
     """plan_workers: fall back to serial where a pool cannot win
-    (the bench's scenario_churn regression: 0.57x with 4 workers on a
-    1-core container)."""
+    (a churn-scenario sweep ran at 0.57x with 4 workers on a 1-core
+    container)."""
 
     def test_serial_requests_stay_serial(self, grid5):
         assert plan_workers(None) == 1

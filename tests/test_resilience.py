@@ -178,6 +178,26 @@ class TestSupervisedChaos:
         assert outcome.failures == ()
         assert outcome.results == serial.results
 
+    def test_transient_crash_and_poison_in_one_sweep(self, grid7, tmp_path):
+        config = ExperimentConfig(algorithm=PROTECTIONLESS, repeats=10, base_seed=0)
+        serial = ExperimentRunner(grid7).run(config)
+        plan = FaultPlan(
+            transient_seeds=(1,),
+            crash_seeds=(4,),
+            poison_seeds=(7,),
+            marker_dir=str(tmp_path),
+        )
+        outcome = sweep_with_plan(
+            grid7,
+            config,
+            plan,
+            retry_policy=RetryPolicy(max_attempts=4, base_delay=0.01),
+        )
+        assert [f.seed for f in outcome.failures] == [7]
+        expected = tuple(r for i, r in enumerate(serial.results) if i != 7)
+        assert outcome.results == expected
+        assert outcome.stats.runs == 9
+
     def test_all_seeds_poisoned_fails_loudly(self, grid5, config, tmp_path):
         plan = FaultPlan(
             poison_seeds=tuple(range(config.repeats)), marker_dir=str(tmp_path)
