@@ -39,7 +39,7 @@ from .experiments import (
     run_figure5,
     workers_argument,
 )
-from .experiments import configure_schedule_cache, default_schedule_cache
+from .experiments import ScheduleStore, default_schedule_cache
 from .scenarios import (
     ScenarioRunner,
     format_comparison,
@@ -165,8 +165,6 @@ def _quarantine_exit(failures, degraded: bool = False) -> int:
 
 
 def _cmd_figure5(args: argparse.Namespace) -> int:
-    if args.no_schedule_cache:
-        configure_schedule_cache(enabled=False)
     with _telemetry_session(args, "cli.figure5"):
         # Each size runs both algorithms over the same repeats.
         reporter = _progress_reporter(
@@ -182,7 +180,6 @@ def _cmd_figure5(args: argparse.Namespace) -> int:
                 workers=args.workers,
                 kernel=_kernel_of(args),
                 setup_kernel=_setup_kernel_of(args),
-                use_schedule_cache=not args.no_schedule_cache,
                 use_distributed=args.distributed,
                 checkpoint=args.checkpoint,
                 resume=args.resume,
@@ -300,16 +297,13 @@ def _cmd_scenario_list(_: argparse.Namespace) -> int:
 
 
 def _make_scenario_runner(args: argparse.Namespace) -> ScenarioRunner:
-    if args.no_schedule_cache:
-        configure_schedule_cache(enabled=False)
     if getattr(args, "schedule_store", None) is not None:
-        configure_schedule_cache(store=args.schedule_store)
+        default_schedule_cache().attach_store(ScheduleStore(args.schedule_store))
     return ScenarioRunner(
         workers=args.workers,
         force_parallel=args.force_parallel,
         kernel=_kernel_of(args),
         setup_kernel=_setup_kernel_of(args),
-        use_schedule_cache=not args.no_schedule_cache,
         checkpoint=args.checkpoint,
         resume=args.resume,
         guard=args.guard,
@@ -641,10 +635,6 @@ def build_parser() -> argparse.ArgumentParser:
         "run the operational phase on the legacy event-heap kernel "
         "instead of the fast kernel (bit-identical; for bisection)"
     )
-    no_cache_help = (
-        "disable the content-addressed schedule cache "
-        "(bit-identical; for bisection)"
-    )
     legacy_setup_kernel_help = (
         "build distributed-setup schedules on the legacy event-heap "
         "engine instead of the flat-round setup kernel "
@@ -712,7 +702,6 @@ def build_parser() -> argparse.ArgumentParser:
     fig.add_argument(
         "--legacy-setup-kernel", action="store_true", help=legacy_setup_kernel_help
     )
-    fig.add_argument("--no-schedule-cache", action="store_true", help=no_cache_help)
     fig.add_argument(
         "--distributed",
         action="store_true",
@@ -786,7 +775,6 @@ def build_parser() -> argparse.ArgumentParser:
     scn_run.add_argument(
         "--legacy-setup-kernel", action="store_true", help=legacy_setup_kernel_help
     )
-    scn_run.add_argument("--no-schedule-cache", action="store_true", help=no_cache_help)
     scn_run.add_argument(
         "--schedule-store",
         type=Path,
@@ -830,7 +818,6 @@ def build_parser() -> argparse.ArgumentParser:
     scn_cmp.add_argument(
         "--legacy-setup-kernel", action="store_true", help=legacy_setup_kernel_help
     )
-    scn_cmp.add_argument("--no-schedule-cache", action="store_true", help=no_cache_help)
     scn_cmp.add_argument(
         "--schedule-store",
         type=Path,

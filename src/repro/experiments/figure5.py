@@ -92,7 +92,6 @@ def run_figure5(
     workers: Optional[int] = None,
     kernel: Optional[str] = None,
     setup_kernel: Optional[str] = None,
-    use_schedule_cache: bool = True,
     use_distributed: bool = False,
     checkpoint: Optional[Path] = None,
     resume: bool = False,
@@ -105,10 +104,10 @@ def run_figure5(
     Parameters mirror the paper's setup; reduce ``repeats`` or ``sizes``
     for quick runs (the benchmarks do).  ``workers`` fans the seed
     sweeps out over that many processes (``None`` = serial); results are
-    identical either way.  ``kernel``, ``setup_kernel`` and
-    ``use_schedule_cache`` are the bisection knobs of the performance
-    layer (also identical either way): the protectionless cells of the
-    two panels share one schedule per (size, seed) through the cache.
+    identical either way.  ``kernel`` and ``setup_kernel`` are the
+    bisection knobs of the performance layer (also identical either
+    way).  The protectionless cells of the two panels share one
+    schedule per (size, seed) through the schedule cache.
     ``use_distributed`` builds every schedule with the full
     message-level setup protocols instead of the centralised pipeline.
 
@@ -155,7 +154,6 @@ def run_figure5(
                     parameters=parameters,
                     kernel=kernel,
                     setup_kernel=setup_kernel,
-                    use_schedule_cache=use_schedule_cache,
                     use_distributed=use_distributed,
                 ),
                 checkpoint=store,
@@ -175,7 +173,6 @@ def run_figure5(
                     parameters=parameters,
                     kernel=kernel,
                     setup_kernel=setup_kernel,
-                    use_schedule_cache=use_schedule_cache,
                     use_distributed=use_distributed,
                 ),
                 checkpoint=store,

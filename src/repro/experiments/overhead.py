@@ -6,23 +6,26 @@ yielding the :class:`~repro.metrics.MessageOverhead` the claim is about.
 
 Seeds are independent, so the sweep optionally fans out over a process
 pool (``workers``); per-seed measurements come back in seed order and
-are identical to a serial sweep.
+are identical to a serial sweep.  Under a telemetry session each
+worker ships its spans and metrics back with its measurement.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence, Tuple
 
 from ..das import run_das_setup
 from ..metrics import MessageOverhead
 from ..simulator import NoiseModel
 from ..slp import SlpProtocolConfig, run_slp_setup
-from ..telemetry import active_tracer
+from ..telemetry import absorb_worker_payload, active_tracer
 from ..topology import Topology
 from .config import PAPER, PaperParameters
-from .parallel import resolve_workers
+from .parallel import call_with_worker_telemetry, resolve_workers
 
 
 @dataclass(frozen=True)
@@ -55,59 +58,30 @@ def _measure_one_seed(
 ) -> MessageOverhead:
     """One seed's baseline-vs-SLP setup comparison.
 
-    Module-level so the parallel path can ship it to worker processes.
     Under an active telemetry session the whole measurement runs in an
     ``overhead.seed`` span (the setup kernels add their own
     ``setup.phase*`` children).
     """
     tracer = active_tracer()
-    if tracer is None:
-        return _measure_one_seed_impl(
-            topology,
-            seed,
-            search_distance,
-            setup_periods,
-            refinement_periods,
-            noise,
-            parameters,
-            setup_kernel,
+    span = (
+        tracer.span("overhead.seed", seed=seed)
+        if tracer is not None
+        else nullcontext()
+    )
+    with span:
+        das_cfg = parameters.das_config(setup_periods=setup_periods)
+        baseline = run_das_setup(
+            topology, config=das_cfg, seed=seed, noise=noise, setup_kernel=setup_kernel
         )
-    with tracer.span("overhead.seed", seed=seed):
-        return _measure_one_seed_impl(
-            topology,
-            seed,
-            search_distance,
-            setup_periods,
-            refinement_periods,
-            noise,
-            parameters,
-            setup_kernel,
+        slp_cfg = SlpProtocolConfig(
+            das=das_cfg,
+            search_distance=search_distance,
+            change_length=parameters.change_length(topology, search_distance),
+            refinement_periods=refinement_periods,
         )
-
-
-def _measure_one_seed_impl(
-    topology: Topology,
-    seed: int,
-    search_distance: int,
-    setup_periods: Optional[int],
-    refinement_periods: int,
-    noise: Optional[NoiseModel],
-    parameters: PaperParameters,
-    setup_kernel: Optional[str] = None,
-) -> MessageOverhead:
-    das_cfg = parameters.das_config(setup_periods=setup_periods)
-    baseline = run_das_setup(
-        topology, config=das_cfg, seed=seed, noise=noise, setup_kernel=setup_kernel
-    )
-    slp_cfg = SlpProtocolConfig(
-        das=das_cfg,
-        search_distance=search_distance,
-        change_length=parameters.change_length(topology, search_distance),
-        refinement_periods=refinement_periods,
-    )
-    slp = run_slp_setup(
-        topology, config=slp_cfg, seed=seed, noise=noise, setup_kernel=setup_kernel
-    )
+        slp = run_slp_setup(
+            topology, config=slp_cfg, seed=seed, noise=noise, setup_kernel=setup_kernel
+        )
     return MessageOverhead(
         baseline_messages=baseline.messages_sent,
         slp_messages=slp.messages_sent,
@@ -139,10 +113,14 @@ def measure_setup_overhead(
     seeds = list(seeds)
     workers = resolve_workers(workers)
     if workers is not None and workers > 1 and len(seeds) > 1:
+        # Each worker returns its measurement plus its telemetry payload.
+        in_worker = partial(
+            call_with_worker_telemetry, active_tracer() is not None, _measure_one_seed
+        )
         with ProcessPoolExecutor(max_workers=min(workers, len(seeds))) as pool:
-            measurements = list(
+            shipped = list(
                 pool.map(
-                    _measure_one_seed,
+                    in_worker,
                     (topology,) * len(seeds),
                     seeds,
                     (search_distance,) * len(seeds),
@@ -153,6 +131,11 @@ def measure_setup_overhead(
                     (setup_kernel,) * len(seeds),
                 )
             )
+        measurements = []
+        for measurement, payload in shipped:
+            if payload is not None:
+                absorb_worker_payload(payload)
+            measurements.append(measurement)
     else:
         measurements = [
             _measure_one_seed(

@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from typing import Dict, List, Optional, Sequence, Tuple
+from contextlib import nullcontext
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 from ..app import OperationalResult
-from ..core import Schedule
 from ..errors import ConfigurationError, invalid_field
 from ..telemetry import (
     MetricsRegistry,
@@ -43,11 +43,9 @@ from ..topology import Topology
 from .faults import active_fault_plan
 from .resilience import FailedRun, RetryPolicy, WorkerSupervisor
 from .runner import ExperimentConfig, ExperimentRunner
-from .schedule_cache import (
-    ScheduleCache,
-    default_schedule_cache,
-    schedule_cache_enabled,
-)
+from .schedule_cache import ScheduleCache
+
+T = TypeVar("T")
 
 
 def default_workers() -> int:
@@ -157,43 +155,65 @@ class ChunkResults(List[OperationalResult]):
     telemetry: Optional[dict] = None
 
 
-def _run_seed_chunk(
-    topology: Topology,
-    config: ExperimentConfig,
-    seeds: Tuple[int, ...],
-    schedules: Optional[Dict[Tuple, Schedule]] = None,
-) -> List[OperationalResult]:
-    """Worker entry point: execute one contiguous chunk of seeds.
+def call_with_worker_telemetry(
+    telemetry: bool,
+    fn: Callable[..., T],
+    *args: Any,
+    span: Optional[str] = None,
+    **attrs: Any,
+) -> Tuple[T, Optional[Dict[str, Any]]]:
+    """Call ``fn(*args)`` in a pool worker; return its result and the
+    telemetry payload the parent must absorb (``None`` if there is none).
 
-    ``schedules`` carries any of the chunk's schedules the parent had
-    already built (keyed exactly as the worker's ``build_schedule``
-    lookups); they are preloaded counter-neutrally into this worker's
-    process-default cache so the worker reuses instead of rebuilding.
-    Module-level so it pickles by reference under every start method.
-
-    With ``config.telemetry`` set the chunk instruments itself — a
-    private tracer and registry for exactly this chunk's work — and
-    ships both back with the results as a :class:`ChunkResults`
-    payload, which the supervisor absorbs onto the parent's timeline
-    as a separate worker track.
+    With ``telemetry`` set the call instruments itself — a private
+    tracer and registry for exactly this call's work, optionally under
+    one ``span`` carrying ``attrs`` — and the payload (spans plus
+    metrics snapshot) is what :func:`~repro.telemetry.absorb_worker_payload`
+    merges onto the parent's timeline as a separate worker track.
     """
-    # An active tracer owned by *this* process means the chunk is
+    # An active tracer owned by *this* process means the call is
     # running inline under the parent session — its spans land on the
     # parent track directly.  A tracer with a foreign pid is an
     # artefact of fork-start pools (the child inherits the parent's
     # module globals); the worker must still instrument itself.
     parent_tracer = active_tracer()
-    if not config.telemetry or (
+    if not telemetry or (
         parent_tracer is not None and parent_tracer.pid == os.getpid()
     ):
-        return _run_chunk_seeds(topology, config, seeds, schedules)
+        return fn(*args), None
     tracer = SpanTracer()
     registry = MetricsRegistry()
-    with use_registry(registry), tracing(tracer):
-        with tracer.span("chunk.run", seeds=list(seeds)):
-            results = _run_chunk_seeds(topology, config, seeds, schedules)
+    scope = tracer.span(span, **attrs) if span is not None else nullcontext()
+    with use_registry(registry), tracing(tracer), scope:
+        result = fn(*args)
     payload = tracer.export_payload()
     payload["metrics"] = registry.snapshot()
+    return result, payload
+
+
+def _run_seed_chunk(
+    topology: Topology,
+    config: ExperimentConfig,
+    seeds: Tuple[int, ...],
+) -> List[OperationalResult]:
+    """Worker entry point: execute one contiguous chunk of seeds.
+
+    Module-level so it pickles by reference under every start method.
+    With ``config.telemetry`` set the chunk's telemetry payload rides
+    back with the results as a :class:`ChunkResults`, which the
+    supervisor absorbs.
+    """
+    results, payload = call_with_worker_telemetry(
+        config.telemetry,
+        _run_chunk_seeds,
+        topology,
+        config,
+        seeds,
+        span="chunk.run",
+        seeds=list(seeds),
+    )
+    if payload is None:
+        return results
     wrapped = ChunkResults(results)
     wrapped.telemetry = payload
     return wrapped
@@ -203,10 +223,7 @@ def _run_chunk_seeds(
     topology: Topology,
     config: ExperimentConfig,
     seeds: Tuple[int, ...],
-    schedules: Optional[Dict[Tuple, Schedule]] = None,
 ) -> List[OperationalResult]:
-    if schedules:
-        default_schedule_cache().preload(schedules)
     plan = active_fault_plan()
     runner = ExperimentRunner(topology)
     results = []
@@ -241,8 +258,7 @@ class ParallelExperimentRunner(ExperimentRunner):
         it with :meth:`close` or use the runner as a context manager.
     schedule_cache:
         As on :class:`ExperimentRunner` — the parent-side cache
-        consulted by ``build_schedule`` *and* mined for already-built
-        schedules to ship with each worker chunk.
+        consulted by ``build_schedule`` (workers use their own).
     retry_policy:
         Backoff schedule for supervised retries of failed or hung
         chunks (default: three attempts, 50 ms base delay).  See
@@ -291,34 +307,6 @@ class ParallelExperimentRunner(ExperimentRunner):
     def workers(self) -> int:
         """The process count seed sweeps fan out over."""
         return self._workers
-
-    def _cached_schedules_for(
-        self, config: ExperimentConfig, seeds: Tuple[int, ...]
-    ) -> Optional[Dict[Tuple, Schedule]]:
-        """The chunk's schedules the parent already holds, keyed for the
-        worker's lookups.
-
-        Only entries actually present travel (a cold parent ships
-        nothing — workers build and cache locally exactly as before),
-        and the peek is counter-neutral so parent-side ``cache_hits``
-        accounting keeps meaning "a build was avoided *here*".
-        """
-        if not config.use_schedule_cache:
-            return None
-        cache = self._schedule_cache
-        if cache is None and schedule_cache_enabled():
-            cache = default_schedule_cache()
-        if cache is None:
-            return None
-        shipped: Dict[Tuple, Schedule] = {}
-        for seed in seeds:
-            key = self.schedule_key_for(config, seed)
-            if key in shipped:
-                continue  # unseeded builds: one key covers every seed
-            schedule = cache.peek(key)
-            if schedule is not None:
-                shipped[key] = schedule
-        return shipped or None
 
     def _ensure_executor(self) -> ProcessPoolExecutor:
         if self._external_executor is not None:
@@ -385,10 +373,9 @@ class ParallelExperimentRunner(ExperimentRunner):
 
     def _submit_chunk(self, config: ExperimentConfig, seeds: Tuple[int, ...]):
         """Dispatch one chunk to the current pool (the supervisor's
-        ``submit`` hook), shipping any already-built schedules."""
-        payload = self._cached_schedules_for(config, seeds)
+        ``submit`` hook)."""
         return self._ensure_executor().submit(
-            _run_seed_chunk, self._topology, config, seeds, payload
+            _run_seed_chunk, self._topology, config, seeds
         )
 
     def _execute(

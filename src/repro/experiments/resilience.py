@@ -67,7 +67,7 @@ from ..errors import invalid_field
 from ..storage import atomic_write_text, durable_append
 from ..telemetry import absorb_worker_payload, active_tracer, default_registry
 from .faults import active_fault_plan
-from .schedule_cache import topology_fingerprint
+from .schedule_cache import ScheduleCache, topology_fingerprint
 
 #: Divergence-guard modes accepted by ``run_resilient``/the CLI.
 GUARD_DIFFERENTIAL = "differential"
@@ -555,7 +555,7 @@ class SweepCheckpoint:
     canonicalised away — so a resumed sweep, a re-run after reboot, or
     a widened seed range all hit the same store, while any change that
     could alter a result (algorithm, parameters, noise, perturbations,
-    kernel selection, schedule jitter) gets a fresh one.  Nothing
+    kernel selection) gets a fresh one.  Nothing
     machine- or git-dependent enters the key.
 
     Each line is ``{"check": digest, "result": {...}, "seed": s}``
@@ -652,13 +652,13 @@ def guard_sample(seeds: Sequence[int], sample: int, base_seed: int) -> Tuple[int
 
 def _legacy_config(config):
     """``config`` pinned to the legacy engines (the reference the guard
-    trusts), with the schedule cache bypassed so the probe cannot be
-    fed a fast-kernel-built entry."""
+    trusts).  Safe to run through a schedule cache: a distributed
+    build's key carries its setup engine, and a centralised schedule
+    depends on no engine."""
     return replace(
         config,
         kernel="legacy",
         setup_kernel="legacy" if config.use_distributed else config.setup_kernel,
-        use_schedule_cache=False,
     )
 
 
@@ -713,7 +713,8 @@ def apply_divergence_guard(
     engines — degraded, slower, but never silently wrong — returning
     the legacy outcome annotated accordingly.  The degraded re-run goes
     back through ``runner.run``, so it keeps the supervised-execution
-    guarantees.
+    guarantees.  The probe builds on a private :class:`ScheduleCache`,
+    so every sampled seed's schedule is rebuilt, never fetched.
     """
     from .runner import ExperimentRunner  # runner imports this module
 
@@ -726,7 +727,7 @@ def apply_divergence_guard(
     by_seed = dict(zip(completed, outcome.results))
     sampled = guard_sample(completed, sample, config.base_seed)
     legacy_cfg = _legacy_config(config)
-    probe = ExperimentRunner(runner.topology)
+    probe = ExperimentRunner(runner.topology, schedule_cache=ScheduleCache())
     mismatches: List[Tuple[int, OperationalResult, OperationalResult]] = []
     tracer = active_tracer()
     rerun_span = (

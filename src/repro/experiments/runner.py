@@ -52,7 +52,6 @@ from .resilience import (
 from .schedule_cache import (
     ScheduleCache,
     default_schedule_cache,
-    schedule_cache_enabled,
     schedule_key,
     topology_fingerprint,
 )
@@ -109,17 +108,6 @@ class ExperimentConfig:
         or ``None`` for the engine default.  Bit-identical either way;
         ignored by centralised builds.  Carried on the config so
         parallel workers inherit the choice.
-    use_schedule_cache:
-        Whether :meth:`ExperimentRunner.build_schedule` may reuse
-        memoised schedules (identical either way — schedule building is
-        deterministic).  Carried on the config for the same reason.
-    schedule_jitter:
-        Whether centralised Phase 1 builds draw TOSSIM-like random
-        arrival-order priorities from the run seed (the default, and
-        the paper's behaviour).  ``False`` uses identifier-ordered
-        priorities: one canonical schedule per topology regardless of
-        seed, which the schedule cache then keys *without* the seed —
-        a 30-seed sweep builds once.
     telemetry:
         Whether runs record telemetry spans/metrics.  Stamped
         automatically when a :class:`~repro.telemetry.TelemetrySession`
@@ -143,21 +131,7 @@ class ExperimentConfig:
     max_periods: Optional[int] = None
     kernel: Optional[str] = None
     setup_kernel: Optional[str] = None
-    use_schedule_cache: bool = True
-    schedule_jitter: bool = True
     telemetry: bool = False
-
-    @property
-    def seeded_schedule(self) -> bool:
-        """Whether schedule construction draws any randomness from the
-        run seed.  Distributed builds always do (message timing), SLP
-        always does (search/refinement tie-breaks); a centralised
-        protectionless build only through the jittered priorities."""
-        return (
-            self.use_distributed
-            or self.algorithm != PROTECTIONLESS
-            or self.schedule_jitter
-        )
 
     def __post_init__(self) -> None:
         if self.kernel is not None and self.kernel not in KERNELS:
@@ -269,24 +243,16 @@ class ExperimentRunner:
         Construction is deterministic in ``(topology content, algorithm,
         parameters, seed)``, so results are memoised in a
         content-addressed :class:`ScheduleCache` — a cached build and a
-        fresh one are the same immutable object value.  Disabled per
-        sweep via ``config.use_schedule_cache`` or process-wide via
-        :func:`~repro.experiments.schedule_cache.configure_schedule_cache`.
+        fresh one are the same immutable object value.
         """
         cache = self._schedule_cache
-        if cache is None and schedule_cache_enabled():
+        if cache is None:
             cache = default_schedule_cache()
-        if cache is None or not config.use_schedule_cache:
-            return self._traced_build(config, seed)
         key = self.schedule_key_for(config, seed)
         return cache.get_or_build(key, lambda: self._traced_build(config, seed))
 
     def schedule_key_for(self, config: ExperimentConfig, seed: int) -> Tuple:
-        """The content-addressed cache key of one run's schedule build.
-
-        Public so the parallel runner can ship the parent's already-built
-        entries to worker processes under exactly the keys the workers
-        will look up."""
+        """The content-addressed cache key of one run's schedule build."""
         if self._fingerprint is None:
             self._fingerprint = topology_fingerprint(self._topology)
         return schedule_key(
@@ -298,8 +264,6 @@ class ExperimentRunner:
             config.use_distributed,
             config.parameters,
             config.noise,
-            seeded=config.seeded_schedule,
-            jitter=config.schedule_jitter,
             setup_kernel=(
                 resolve_setup_kernel(config.setup_kernel, "ExperimentConfig")
                 if config.use_distributed
@@ -335,7 +299,6 @@ class ExperimentRunner:
                 self._topology,
                 num_slots=params.num_slots,
                 seed=seed,
-                jitter=config.schedule_jitter,
             )
         # SLP DAS.
         if config.use_distributed:
@@ -358,7 +321,6 @@ class ExperimentRunner:
             SlpParameters(search_distance=config.search_distance),
             num_slots=params.num_slots,
             seed=seed,
-            jitter=config.schedule_jitter,
         ).schedule
 
     # ------------------------------------------------------------------

@@ -22,9 +22,7 @@ Each process holds one default cache (:func:`default_schedule_cache`):
 the parent's for serial sweeps, one per worker for parallel sweeps
 (workers populate theirs on first use and keep it across chunks).
 Hit/miss counters make the cache observable — ``perfbench/`` reports
-them and the CLI prints a one-line summary — and
-``ExperimentConfig(use_schedule_cache=False)`` or the process-wide
-:func:`configure_schedule_cache` switch it off for bisection.
+them and the CLI prints a one-line summary.
 """
 
 from __future__ import annotations
@@ -71,8 +69,6 @@ def schedule_key(
     use_distributed: bool,
     parameters: object,
     noise: object,
-    seeded: bool = True,
-    jitter: bool = True,
     setup_kernel: Optional[str] = None,
 ) -> Tuple:
     """The cache key for one schedule build.
@@ -85,19 +81,9 @@ def schedule_key(
     irrelevant inputs is what turns algorithm comparisons and
     multi-source scenario sweeps into cache hits.
 
-    ``seeded`` declares whether the build draws any randomness from the
-    seed.  A centralised protectionless build with jitter disabled is a
-    pure function of the topology and parameters, so the seed leaves
-    the key and a cold 30-seed sweep logs 1 miss + 29 hits instead of
-    30 misses; every seeded build (jittered priorities, SLP tie-breaks,
-    distributed message timing) keeps the seed in the key.
-
-    ``jitter`` is itself a key component for centralised builds: the
-    same seed produces different schedules with jitter on vs off (an
-    SLP build keeps its seeded phase 2/3 tie-breaks either way but
-    starts from a different Phase 1 baseline), so the two must never
-    share an entry.  Distributed builds ignore the flag, and their key
-    ignores it too.
+    Every build draws randomness from the seed (jittered Phase 1
+    priorities, SLP tie-breaks, distributed message timing), so the
+    seed is always part of the key.
 
     ``setup_kernel`` (the *resolved* engine of a distributed build,
     never ``None``-as-default) keys distributed entries by the engine
@@ -110,11 +96,10 @@ def schedule_key(
     return (
         fingerprint,
         algorithm,
-        seed if seeded else None,
+        seed,
         (topology.source if topology.has_source else None) if slp else None,
         search_distance if slp else None,
         use_distributed,
-        jitter if not use_distributed else None,
         repr(parameters),
         repr(noise) if use_distributed else None,
         setup_kernel if use_distributed else None,
@@ -142,7 +127,6 @@ class ScheduleCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.preloads = 0
 
     def attach_store(self, store) -> None:
         """Attach (or with ``None`` detach) a shared on-disk
@@ -205,42 +189,12 @@ class ScheduleCache:
             entries.popitem(last=False)
             self.evictions += 1
 
-    def peek(self, key: Tuple) -> Optional[Schedule]:
-        """A counter-neutral lookup: the cached schedule or ``None``.
-
-        Does not bump hits/misses and does not refresh LRU recency —
-        the parallel runner uses it to see which of a sweep's schedules
-        are already built (to ship them to workers) without distorting
-        the reported accounting.
-        """
-        return self._entries.get(key)
-
-    def preload(self, entries: Dict[Tuple, Schedule]) -> None:
-        """Seed the cache with already-built schedules, counter-neutrally.
-
-        Worker processes call this with the entries the parent shipped
-        in the chunk payload; the subsequent ``get_or_build`` lookups
-        then count as ordinary hits (they are: the schedule exists and
-        is reused), while the preload itself is neither a hit nor a
-        miss — the worker never looked anything up to install it.  The
-        ``preloads`` counter records each installed entry so shipped
-        schedules stay visible without distorting the hit rate.
-        """
-        cache = self._entries
-        for key, schedule in entries.items():
-            cache[key] = schedule
-            self.preloads += 1
-            if len(cache) > self._maxsize:
-                cache.popitem(last=False)
-                self.evictions += 1
-
     def clear(self) -> None:
         """Drop all entries and reset the counters."""
         self._entries.clear()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.preloads = 0
 
     def stats(self) -> Dict[str, int]:
         """A snapshot of the counters (plus current size).
@@ -252,7 +206,6 @@ class ScheduleCache:
             "hits": self.hits,
             "misses": self.misses,
             "evictions": self.evictions,
-            "preloads": self.preloads,
             "size": len(self._entries),
         }
         if self._store is not None:
@@ -271,36 +224,18 @@ class ScheduleCache:
         )
         if self._store is not None:
             line += f", {store_hits} store hits"
-        if self.evictions or self.preloads:
-            line += f", {self.evictions} evictions, {self.preloads} preloads"
+        if self.evictions:
+            line += f", {self.evictions} evictions"
         return line
 
 
 #: The per-process default cache (each worker process owns its own).
 _DEFAULT_CACHE = ScheduleCache()
-_ENABLED = True
 
 
 def default_schedule_cache() -> ScheduleCache:
     """This process's shared schedule cache."""
     return _DEFAULT_CACHE
-
-
-def default_cache() -> ScheduleCache:
-    """Public accessor for the process-default cache.
-
-    Alias of :func:`default_schedule_cache`, kept as the short public
-    name so tooling never reaches for the private module state:
-    ``default_cache().stats()`` for the counters,
-    ``default_cache().summary()`` for the CLI one-liner.
-    """
-    return _DEFAULT_CACHE
-
-
-def default_cache_stats() -> Dict[str, int]:
-    """Counter snapshot of the process-default cache
-    (hits/misses/evictions/preloads/size)."""
-    return _DEFAULT_CACHE.stats()
 
 
 def reset_default_cache() -> None:
@@ -312,36 +247,3 @@ def reset_default_cache() -> None:
     """
     _DEFAULT_CACHE.clear()
     _DEFAULT_CACHE.attach_store(None)
-
-
-def schedule_cache_enabled() -> bool:
-    """Whether runners consult the default cache (process-wide switch)."""
-    return _ENABLED
-
-
-#: Sentinel: "leave the store attachment as it is".
-_KEEP_STORE = object()
-
-
-def configure_schedule_cache(
-    enabled: Optional[bool] = None, store: object = _KEEP_STORE
-) -> None:
-    """Process-wide cache configuration.
-
-    ``enabled`` is the kill switch (the CLI's ``--no-schedule-cache``);
-    ``store`` attaches a shared on-disk tier to the default cache — a
-    :class:`~repro.experiments.schedule_store.ScheduleStore`, a path to
-    create one at, or ``None`` to detach.  Only affects the *current*
-    process — worker processes of a parallel sweep decide from the
-    pickled ``ExperimentConfig.use_schedule_cache`` flag instead (and
-    the service's shard workers attach their store explicitly).
-    """
-    global _ENABLED
-    if enabled is not None:
-        _ENABLED = enabled
-    if store is not _KEEP_STORE:
-        if store is not None and not hasattr(store, "get"):
-            from .schedule_store import ScheduleStore
-
-            store = ScheduleStore(store)
-        _DEFAULT_CACHE.attach_store(store)

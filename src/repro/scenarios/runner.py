@@ -179,9 +179,6 @@ class ScenarioRunner:
         from the distributed protocols (``"fast"``/``"legacy"``/``None``
         for the engine default); bit-identical whichever is chosen and
         ignored by centralised builds.
-    use_schedule_cache:
-        Whether sweeps may reuse memoised schedules (identical either
-        way); ``False`` is the CLI's ``--no-schedule-cache``.
     checkpoint:
         Directory for the per-seed result store (the CLI's
         ``--checkpoint``): completed seeds are persisted as they land,
@@ -211,7 +208,6 @@ class ScenarioRunner:
         force_parallel: bool = False,
         kernel: Optional[str] = None,
         setup_kernel: Optional[str] = None,
-        use_schedule_cache: bool = True,
         checkpoint: Optional[Path] = None,
         resume: bool = False,
         guard: Optional[str] = None,
@@ -222,7 +218,6 @@ class ScenarioRunner:
         self._force_parallel = force_parallel
         self._kernel = kernel
         self._setup_kernel = setup_kernel
-        self._use_schedule_cache = use_schedule_cache
         self._checkpoint = SweepCheckpoint(checkpoint) if checkpoint else None
         self._resume = resume
         self._guard = guard
@@ -257,16 +252,9 @@ class ScenarioRunner:
         spec = get_scenario(scenario) if isinstance(scenario, str) else scenario
         topology = spec.build_topology()
         config = spec.to_config(repeats=seeds, base_seed=base_seed)
-        if (
-            self._kernel is not None
-            or self._setup_kernel is not None
-            or not self._use_schedule_cache
-        ):
+        if self._kernel is not None or self._setup_kernel is not None:
             config = replace(
-                config,
-                kernel=self._kernel,
-                setup_kernel=self._setup_kernel,
-                use_schedule_cache=self._use_schedule_cache,
+                config, kernel=self._kernel, setup_kernel=self._setup_kernel
             )
         reporter = None
         on_result = None

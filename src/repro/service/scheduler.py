@@ -43,8 +43,9 @@ from ..experiments import (
     FailedRun,
     RetryPolicy,
     ServiceHalt,
+    ScheduleStore,
     SweepCheckpoint,
-    configure_schedule_cache,
+    default_schedule_cache,
     seed_chunks,
 )
 from ..metrics import (
@@ -317,7 +318,7 @@ def _owned_worker(
 
     threading.Thread(target=exit_with_parent, daemon=True).start()
     if schedule_store is not None:
-        configure_schedule_cache(store=schedule_store)
+        default_schedule_cache().attach_store(ScheduleStore(schedule_store))
     worker_main(base_url, worker_id=worker_id, token=token)
 
 

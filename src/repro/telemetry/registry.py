@@ -1,7 +1,7 @@
 """Process-wide named counters, gauges, and histograms.
 
 One registry absorbs the tallies that used to live as scattered
-attributes: schedule-cache hits/misses/evictions/preloads
+attributes: schedule-cache hits/misses/evictions
 (``cache.*``), supervisor retries/timeouts/respawns/quarantines
 (``supervisor.*``), per-kind trace counts (``trace.*``), sweep
 capture/safety series and throughput (``sweep.*``), and divergence

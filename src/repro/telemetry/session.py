@@ -127,9 +127,9 @@ class TelemetrySession:
 
     def collect(self) -> None:
         """Fold ambient stats into the registry before export."""
-        from ..experiments.schedule_cache import default_cache_stats
+        from ..experiments.schedule_cache import default_schedule_cache
 
-        for name, value in default_cache_stats().items():
+        for name, value in default_schedule_cache().stats().items():
             self.registry.gauge(f"cache.{name}", value)
         self.registry.gauge("spans.recorded", len(self.tracer))
         self.registry.gauge("spans.dropped", self.tracer.dropped)

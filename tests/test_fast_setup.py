@@ -298,15 +298,14 @@ class TestExperimentThreading:
     """setup_kernel travels through ExperimentConfig and the runners."""
 
     def test_distributed_builds_identical_across_kernels(self, grid5):
-        from repro.experiments import ExperimentConfig, ExperimentRunner
-
-        params_kwargs = dict(
-            algorithm="slp",
-            use_distributed=True,
-            repeats=1,
-            use_schedule_cache=False,
+        from repro.experiments import (
+            ExperimentConfig,
+            ExperimentRunner,
+            ScheduleCache,
         )
-        runner = ExperimentRunner(grid5)
+
+        params_kwargs = dict(algorithm="slp", use_distributed=True, repeats=1)
+        runner = ExperimentRunner(grid5, schedule_cache=ScheduleCache())
         fast = runner.build_schedule(
             ExperimentConfig(setup_kernel="fast", **params_kwargs), seed=4
         )
@@ -344,80 +343,3 @@ class TestExperimentThreading:
         fast = ScenarioRunner(setup_kernel="fast").run("paper-baseline", seeds=2)
         legacy = ScenarioRunner(setup_kernel="legacy").run("paper-baseline", seeds=2)
         assert fast.to_json() == legacy.to_json()
-
-
-class TestScheduleShipping:
-    """Satellite: the parallel runner ships already-built schedules with
-    each worker chunk, and the accounting stays truthful."""
-
-    def _distributed_config(self):
-        from repro.experiments import ExperimentConfig
-
-        return ExperimentConfig(
-            algorithm="protectionless",
-            use_distributed=True,
-            repeats=3,
-            max_periods=4,
-        )
-
-    def test_parent_ships_only_warm_entries_counter_neutrally(self, grid5):
-        from repro.experiments import ParallelExperimentRunner
-        from repro.experiments.schedule_cache import ScheduleCache
-
-        cache = ScheduleCache()
-        runner = ParallelExperimentRunner(grid5, workers=2, schedule_cache=cache)
-        config = self._distributed_config()
-        # Cold parent: nothing to ship.
-        assert runner._cached_schedules_for(config, (0, 1, 2)) is None
-        # Warm one seed; exactly that entry travels.
-        built = runner.build_schedule(config, 1)
-        before = cache.stats()
-        shipped = runner._cached_schedules_for(config, (0, 1, 2))
-        assert cache.stats() == before  # peek is counter-neutral
-        assert shipped is not None and len(shipped) == 1
-        key = runner.schedule_key_for(config, 1)
-        assert shipped[key] is built
-
-    def test_worker_chunk_reuses_preloaded_schedules(self, grid5):
-        """_run_seed_chunk with a shipped payload takes cache hits, not
-        rebuilds — run in-process so the default cache is observable."""
-        from repro.experiments import ExperimentRunner
-        from repro.experiments.parallel import _run_seed_chunk
-        from repro.experiments.schedule_cache import (
-            default_schedule_cache,
-            reset_default_cache,
-        )
-
-        config = self._distributed_config()
-        parent = ExperimentRunner(grid5)
-        shipped = {
-            parent.schedule_key_for(config, seed): parent._build_schedule(
-                config, seed
-            )
-            for seed in (0, 1)
-        }
-        reset_default_cache()
-        try:
-            results = _run_seed_chunk(grid5, config, (0, 1), shipped)
-            stats = default_schedule_cache().stats()
-            assert len(results) == 2
-            assert stats["hits"] == 2  # both lookups found shipped entries
-            assert stats["misses"] == 0  # preload itself counted nothing
-        finally:
-            reset_default_cache()
-
-    def test_pool_results_identical_with_warm_and_cold_parent(self, grid5):
-        from repro.experiments import (
-            ExperimentRunner,
-            ParallelExperimentRunner,
-        )
-
-        config = self._distributed_config()
-        serial = ExperimentRunner(grid5).run(config)
-        with ParallelExperimentRunner(grid5, workers=2) as pool_runner:
-            # Warm the parent cache so chunks ship real payloads.
-            for i in range(config.repeats):
-                pool_runner.build_schedule(config, config.base_seed + i)
-            warm = pool_runner.run(config)
-        assert warm.results == serial.results
-        assert warm.stats == serial.stats

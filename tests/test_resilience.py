@@ -30,6 +30,7 @@ from repro.experiments import (
     InjectedFault,
     ParallelExperimentRunner,
     RetryPolicy,
+    ScheduleCache,
     SweepCheckpoint,
     guard_sample,
     result_from_dict,
@@ -332,6 +333,39 @@ class TestDivergenceGuard:
     def test_invalid_guard_mode_rejected(self, grid5, config):
         with pytest.raises(ConfigurationError):
             ExperimentRunner(grid5).run_resilient(config, guard="nonsense")
+
+    @pytest.mark.parametrize(
+        "use_distributed", [False, True], ids=["centralised", "distributed"]
+    )
+    def test_probe_rebuilds_despite_a_warm_cache(
+        self, grid5, monkeypatch, use_distributed
+    ):
+        """The guard's reference must come from fresh builds: with the
+        sweep's own schedules already cached, the probe still builds
+        one schedule per sampled seed."""
+        config = ExperimentConfig(
+            algorithm=PROTECTIONLESS, repeats=4, use_distributed=use_distributed
+        )
+        shared = ScheduleCache()
+        runner = ExperimentRunner(grid5, schedule_cache=shared)
+        # Warm under both setup engines: a distributed legacy build has
+        # a key of its own, and the probe runs on the legacy engines.
+        runner.run(config)
+        runner.run(replace(config, setup_kernel="legacy"))
+        builds = []
+        real_build = ExperimentRunner._traced_build
+
+        def spy(self, cfg, seed):
+            builds.append(seed)
+            return real_build(self, cfg, seed)
+
+        monkeypatch.setattr(ExperimentRunner, "_traced_build", spy)
+        misses = shared.misses
+        outcome = runner.run_resilient(config, guard="differential")
+        assert not outcome.guard.degraded
+        assert len(outcome.guard.sampled_seeds) == 3
+        assert sorted(builds) == list(outcome.guard.sampled_seeds)
+        assert shared.misses == misses  # the sweep itself was served cached
 
 
 class TestScenarioReports:

@@ -18,12 +18,9 @@ from repro.experiments import (
     ExperimentConfig,
     ExperimentRunner,
     ScheduleCache,
-    configure_schedule_cache,
-    default_cache,
-    default_cache_stats,
+    ScheduleStore,
     default_schedule_cache,
     reset_default_cache,
-    schedule_cache_enabled,
     schedule_key,
     topology_fingerprint,
 )
@@ -40,16 +37,14 @@ def _key(topology, config, seed):
         config.use_distributed,
         config.parameters,
         config.noise,
-        seeded=config.seeded_schedule,
-        jitter=config.schedule_jitter,
     )
 
 
 @pytest.fixture
 def restore_default_cache():
-    """Leave the process-default cache configuration as we found it."""
+    """Leave no store attached to the process-default cache."""
     yield
-    configure_schedule_cache(enabled=True)
+    default_schedule_cache().attach_store(None)
 
 
 class TestTopologyFingerprint:
@@ -107,47 +102,6 @@ class TestScheduleKey:
         assert _key(grid5, casino_d, 0) != _key(grid5, ideal_d, 0)
         assert _key(grid5, casino, 0) != _key(grid5, casino_d, 0)
 
-    def test_unseeded_builds_drop_the_seed_from_the_key(self, grid5):
-        """A jitter-free centralised protectionless build is a pure
-        function of the topology: every seed maps to one key."""
-        canonical = ExperimentConfig(repeats=1, schedule_jitter=False)
-        assert not canonical.seeded_schedule
-        assert _key(grid5, canonical, 0) == _key(grid5, canonical, 29)
-        # Any source of randomness keeps the seed in the key.
-        jittered = ExperimentConfig(repeats=1)
-        assert _key(grid5, jittered, 0) != _key(grid5, jittered, 1)
-        slp = ExperimentConfig(
-            algorithm="slp", repeats=1, schedule_jitter=False
-        )
-        assert slp.seeded_schedule
-        assert _key(grid5, slp, 0) != _key(grid5, slp, 1)
-        distributed = ExperimentConfig(
-            repeats=1, schedule_jitter=False, use_distributed=True
-        )
-        assert distributed.seeded_schedule
-
-    def test_jitter_flag_is_a_key_component(self, grid5):
-        """Same seed, jitter on vs off, must never share a cache entry:
-        the builds differ (SLP keeps its seed either way but starts
-        from a different Phase 1 baseline, and a jittered seeded
-        protectionless build differs from the canonical one)."""
-        for algorithm in ("protectionless", "slp"):
-            jittered = ExperimentConfig(algorithm=algorithm, repeats=1)
-            canonical = ExperimentConfig(
-                algorithm=algorithm, repeats=1, schedule_jitter=False
-            )
-            assert _key(grid5, jittered, 0) != _key(grid5, canonical, 0)
-        # ... and jitter-off sweeps actually produce different schedules
-        # than jitter-on ones through the runner (the collision the key
-        # component prevents).
-        runner = ExperimentRunner(grid5, schedule_cache=ScheduleCache())
-        jittered = runner.build_schedule(ExperimentConfig(repeats=1), 0)
-        canonical = runner.build_schedule(
-            ExperimentConfig(repeats=1, schedule_jitter=False), 0
-        )
-        assert jittered.slots() != canonical.slots()
-
-
 class TestScheduleCacheLru:
     def test_hit_and_miss_counters(self):
         cache = ScheduleCache(maxsize=4)
@@ -159,7 +113,6 @@ class TestScheduleCacheLru:
             "hits": 1,
             "misses": 1,
             "evictions": 0,
-            "preloads": 0,
             "size": 1,
         }
         assert "1 hits / 1 misses" in cache.summary()
@@ -180,19 +133,16 @@ class TestScheduleCacheLru:
         cache.get_or_build("a", lambda: "A")
         cache.clear()
         assert (cache.hits, cache.misses, len(cache)) == (0, 0, 0)
-        assert (cache.evictions, cache.preloads) == (0, 0)
+        assert cache.evictions == 0
 
-    def test_eviction_and_preload_counters(self):
+    def test_eviction_counter(self):
         cache = ScheduleCache(maxsize=2)
         cache.get_or_build("a", lambda: "A")
         cache.get_or_build("b", lambda: "B")
         cache.get_or_build("c", lambda: "C")  # evicts a
-        assert cache.evictions == 1
-        cache.preload({"d": "D"})  # installs d, evicts b
-        assert (cache.preloads, cache.evictions) == (1, 2)
-        # Preload is hit/miss-neutral: nothing was looked up.
-        assert (cache.hits, cache.misses) == (0, 3)
-        assert "2 evictions, 1 preloads" in cache.summary()
+        cache.get_or_build("d", lambda: "D")  # evicts b
+        assert (cache.hits, cache.misses, cache.evictions) == (0, 4, 2)
+        assert "2 evictions" in cache.summary()
 
     def test_summary_keeps_short_form_without_evictions(self):
         cache = ScheduleCache()
@@ -224,32 +174,17 @@ class TestRunnerIntegration:
         assert a is b
         assert cache.hits == 1
 
-    def test_config_opt_out_bypasses_the_cache(self, grid5):
+    def test_cached_sweep_equals_uncached_sweep(self, grid5):
+        """A cold sweep (every schedule built) and a re-sweep served
+        entirely from the cache give identical results."""
         cache = ScheduleCache()
         runner = ExperimentRunner(grid5, schedule_cache=cache)
-        cfg = ExperimentConfig(repeats=1, use_schedule_cache=False)
-        first = runner.build_schedule(cfg, 0)
-        second = runner.build_schedule(cfg, 0)
-        assert first is not second
-        assert first == second  # deterministic either way
-        assert (cache.hits, cache.misses) == (0, 0)
-
-    def test_process_wide_kill_switch(self, grid5, restore_default_cache):
-        before = default_schedule_cache().stats()
-        configure_schedule_cache(enabled=False)
-        assert not schedule_cache_enabled()
-        ExperimentRunner(grid5).build_schedule(ExperimentConfig(repeats=1), 99)
-        assert default_schedule_cache().stats() == before
-        configure_schedule_cache(enabled=True)
-        assert schedule_cache_enabled()
-
-    def test_cached_sweep_equals_uncached_sweep(self, grid5):
         cfg = ExperimentConfig(repeats=4, noise="casino")
-        cached = ExperimentRunner(grid5, schedule_cache=ScheduleCache()).run(cfg)
-        uncached = ExperimentRunner(grid5).run(
-            ExperimentConfig(repeats=4, noise="casino", use_schedule_cache=False)
-        )
-        assert cached.results == uncached.results
+        cold = runner.run(cfg)
+        assert (cache.hits, cache.misses) == (0, 4)
+        cached = runner.run(cfg)
+        assert (cache.hits, cache.misses) == (4, 4)
+        assert cached.results == cold.results
 
     def test_link_mutation_misses_through_the_runner(self, grid5):
         cache = ScheduleCache()
@@ -263,76 +198,16 @@ class TestRunnerIntegration:
         assert cache.misses == 2
 
 
-class TestUnseededBuilds:
-    """Satellite: a build that draws no randomness is cached once per
-    topology, not once per seed."""
-
-    def test_jitter_free_schedules_identical_across_seeds(self, grid5):
-        """Differential proof, cache out of the loop entirely."""
-        runner = ExperimentRunner(grid5)
-        cfg = ExperimentConfig(
-            repeats=1, schedule_jitter=False, use_schedule_cache=False
-        )
-        schedules = [runner.build_schedule(cfg, seed) for seed in range(5)]
-        assert all(s.slots() == schedules[0].slots() for s in schedules[1:])
-        assert all(
-            s.parent_of(n) == schedules[0].parent_of(n)
-            for s in schedules[1:]
-            for n in grid5.nodes
-        )
-
-    def test_cold_sweep_logs_one_miss(self, grid5):
-        cache = ScheduleCache()
-        runner = ExperimentRunner(grid5, schedule_cache=cache)
-        cfg = ExperimentConfig(repeats=1, schedule_jitter=False)
-        for seed in range(30):
-            runner.build_schedule(cfg, seed)
-        assert (cache.hits, cache.misses) == (29, 1)
-
-    def test_jittered_sweep_still_misses_per_seed(self, grid5):
-        cache = ScheduleCache()
-        runner = ExperimentRunner(grid5, schedule_cache=cache)
-        cfg = ExperimentConfig(repeats=1)
-        for seed in range(5):
-            runner.build_schedule(cfg, seed)
-        assert (cache.hits, cache.misses) == (0, 5)
-
-    def test_slp_stays_seeded_without_jitter(self, grid5):
-        """Phases 2/3 draw tie-breaks from the seed, so SLP builds keep
-        per-seed cache entries even with jitter off."""
-        cache = ScheduleCache()
-        runner = ExperimentRunner(grid5, schedule_cache=cache)
-        cfg = ExperimentConfig(
-            algorithm="slp", repeats=1, schedule_jitter=False
-        )
-        for seed in range(3):
-            runner.build_schedule(cfg, seed)
-        assert cache.misses == 3
-
-
 class TestDefaultCacheAccessors:
-    def test_default_cache_is_the_process_cache(self):
-        assert default_cache() is default_schedule_cache()
-
-    def test_default_cache_stats_snapshot(self, grid5):
-        before = default_cache_stats()
-        assert set(before) == {"hits", "misses", "evictions", "preloads", "size"}
-        ExperimentRunner(grid5).build_schedule(
-            ExperimentConfig(repeats=1), seed=12345
-        )
-        after = default_cache_stats()
-        assert after["hits"] + after["misses"] > before["hits"] + before["misses"]
-
     def test_reset_default_cache(self, grid5):
         ExperimentRunner(grid5).build_schedule(
             ExperimentConfig(repeats=1), seed=54321
         )
         reset_default_cache()
-        assert default_cache_stats() == {
+        assert default_schedule_cache().stats() == {
             "hits": 0,
             "misses": 0,
             "evictions": 0,
-            "preloads": 0,
             "size": 0,
         }
 
@@ -341,12 +216,9 @@ class TestScheduleStore:
     """Satellite: the optional shared on-disk tier under the LRU."""
 
     def _key(self, grid5):
-        cfg = ExperimentConfig(repeats=1, schedule_jitter=False)
-        return _key(grid5, cfg, 0)
+        return _key(grid5, ExperimentConfig(repeats=1), 0)
 
     def test_round_trip_and_counters(self, tmp_path, grid5, grid5_schedule):
-        from repro.experiments import ScheduleStore
-
         store = ScheduleStore(tmp_path / "schedules.sqlite")
         key = self._key(grid5)
         assert store.get(key) is None
@@ -363,8 +235,6 @@ class TestScheduleStore:
     def test_first_writer_wins_and_publish_is_idempotent(
         self, tmp_path, grid5, grid5_schedule
     ):
-        from repro.experiments import ScheduleStore
-
         store = ScheduleStore(tmp_path / "schedules.sqlite")
         key = self._key(grid5)
         store.put(key, grid5_schedule)
@@ -397,8 +267,6 @@ class TestScheduleStore:
         """Two caches over one store: the first builds and publishes,
         the second fetches — and the stats stay truthful (`misses`
         means builds performed, a store fetch is a `store_hit`)."""
-        from repro.experiments import ScheduleStore
-
         store = ScheduleStore(tmp_path / "schedules.sqlite")
         cfg = ExperimentConfig(repeats=1)
 
@@ -424,9 +292,10 @@ class TestScheduleStore:
         cache = ScheduleCache()
         assert cache.store is None  # the LRU stays the default tier
         assert "store_hits" not in cache.stats()
-        # configure_schedule_cache accepts a path and builds the store;
-        # reset_default_cache detaches it again.
-        configure_schedule_cache(store=tmp_path / "schedules.sqlite")
+        # reset_default_cache detaches an attached store again.
+        default_schedule_cache().attach_store(
+            ScheduleStore(tmp_path / "schedules.sqlite")
+        )
         assert default_schedule_cache().store is not None
         reset_default_cache()
         assert default_schedule_cache().store is None

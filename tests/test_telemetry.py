@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import io
 import json
+from collections import Counter
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.experiments import (
     FaultPlan,
     ParallelExperimentRunner,
     RetryPolicy,
+    measure_setup_overhead,
 )
 from repro.scenarios import ScenarioRunner
 from repro.telemetry import (
@@ -272,6 +274,27 @@ class TestTelemetrySession:
         )
         assert outcome.results  # and no tracer was ever active
         assert active_tracer() is None
+
+
+class TestPooledOverheadTelemetry:
+    def test_pool_ships_the_serial_spans(self, grid7):
+        """Pool workers record into a private tracer and ship it back,
+        so a pooled overhead run yields the serial run's measurements
+        and the same spans."""
+
+        def measure(workers):
+            with TelemetrySession(directory=None) as session:
+                measurement = measure_setup_overhead(
+                    grid7, seeds=(0, 1), setup_periods=20, workers=workers
+                )
+            names = Counter(span.name for span in session.tracer.spans())
+            return measurement.per_seed, names
+
+        serial, serial_names = measure(None)
+        pooled, pooled_names = measure(2)
+        assert pooled == serial
+        assert pooled_names == serial_names
+        assert serial_names["overhead.seed"] == 2
 
 
 def _scenario_report(
